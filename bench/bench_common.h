@@ -90,9 +90,10 @@ inline LearnerConfig table_config(const BenchCase& c, bool segmented,
 /// "0.123", ">30 (timeout)" or "intractable (clause budget)".
 inline std::string runtime_cell(const LearnResult& r, double timeout_seconds) {
   if (r.success) return format_double(r.stats.total_seconds);
-  if (r.resource_exhausted) return "out of memory";
-  if (r.budget_exceeded) return "intractable (clause budget)";
-  if (r.timed_out) {
+  const ErrorCode code = r.status.code();
+  if (code == ErrorCode::resource_exhausted) return "out of memory";
+  if (code == ErrorCode::clause_budget) return "intractable (clause budget)";
+  if (cut_short(code)) {
     // += form: GCC 12's -Wrestrict false-fires on the concatenation
     // temporaries at -O2 (PR105651).
     std::string cell = ">";
@@ -108,17 +109,11 @@ struct BenchRecord {
   std::string bench;          ///< benchmark id, e.g. "table1/USB Slot/segmented"
   double wall_seconds = 0.0;
   bool success = false;
-  bool timed_out = false;
-  /// Encoding overran the clause budget: "intractable at this budget" is a
-  /// property of the instance + configuration, not of the machine's speed —
-  /// bench_check treats it as its own verdict, distinct from a timeout.
-  bool budget_exceeded = false;
-  /// The run hit the memory cap or an allocation failed — the memory
-  /// sibling of budget_exceeded; bench_check treats it as incomplete.
-  bool resource_exhausted = false;
-  /// The reported model is the best-so-far from an aborted run, not a full
-  /// verdict (LearnResult::salvaged).
-  bool salvaged = false;
+  /// How the run ended (LearnResult::status). bench_check treats every
+  /// cut_short() code as incomplete and tags each one as its own verdict:
+  /// "intractable at this clause budget" is a property of the instance and
+  /// configuration, a timeout one of the machine's speed.
+  ErrorCode status = ErrorCode::ok;
   /// Excuse this record from the wall-clock regression gate (loaded-machine
   /// benchmarks whose wall time is advisory, e.g. thread-scaling entries).
   bool wall_exempt = false;
@@ -149,10 +144,7 @@ public:
     rec.bench = std::move(bench);
     rec.wall_seconds = r.stats.total_seconds;
     rec.success = r.success;
-    rec.timed_out = r.timed_out;
-    rec.budget_exceeded = r.budget_exceeded;
-    rec.resource_exhausted = r.resource_exhausted;
-    rec.salvaged = r.salvaged;
+    rec.status = r.status.code();
     rec.wall_exempt = wall_exempt;
     rec.states = r.states;
     rec.stats = r.stats;
@@ -170,10 +162,7 @@ public:
       os << "  {\"bench\": \"" << escape(r.bench) << "\""
          << ", \"wall_seconds\": " << format_double(r.wall_seconds, 6)
          << ", \"success\": " << (r.success ? "true" : "false")
-         << ", \"timed_out\": " << (r.timed_out ? "true" : "false")
-         << ", \"budget_exceeded\": " << (r.budget_exceeded ? "true" : "false")
-         << ", \"resource_exhausted\": " << (r.resource_exhausted ? "true" : "false")
-         << ", \"salvaged\": " << (r.salvaged ? "true" : "false")
+         << ", \"status\": \"" << error_code_name(r.status) << "\""
          << ", \"wall_exempt\": " << (r.wall_exempt ? "true" : "false")
          << ", \"states\": " << r.states;
       write_bench_stats_fields(os, r.stats);

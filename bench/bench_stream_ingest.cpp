@@ -51,7 +51,7 @@ using namespace t2m;
 
 struct RunOutcome {
   bool ok = false;
-  bool timed_out = false;
+  std::string status = "internal";  ///< error_code_name of the run's status
   std::size_t states = 0;
   std::size_t segments = 0;
   std::uint64_t conflicts = 0;
@@ -86,7 +86,7 @@ void run_and_report(const std::function<LearnResult()>& body, const std::string&
   LearnResult result = body();
   const double wall = watch.elapsed_seconds();
   std::ofstream out(path);
-  out << (result.success ? 1 : 0) << ' ' << (result.timed_out ? 1 : 0) << ' '
+  out << (result.success ? 1 : 0) << ' ' << error_code_name(result.status.code()) << ' '
       << result.states << ' ' << result.stats.segments << ' ' << result.stats.sat_conflicts
       << ' ' << format_double(wall, 6) << '\n';
 }
@@ -94,11 +94,12 @@ void run_and_report(const std::function<LearnResult()>& body, const std::string&
 RunOutcome read_report(const std::string& path) {
   RunOutcome outcome;
   std::ifstream in(path);
-  int ok = 0, timed_out = 0;
-  if (in >> ok >> timed_out >> outcome.states >> outcome.segments >> outcome.conflicts >>
+  int ok = 0;
+  std::string status;
+  if (in >> ok >> status >> outcome.states >> outcome.segments >> outcome.conflicts >>
       outcome.wall_seconds) {
     outcome.ok = ok != 0;
-    outcome.timed_out = timed_out != 0;
+    outcome.status = status;
   }
   return outcome;
 }
@@ -155,7 +156,7 @@ void emit_json_record(std::ostream& os, const std::string& bench, const RunOutco
   stats.sat_conflicts = r.conflicts;
   os << "  {\"bench\": \"" << bench << "\", \"wall_exempt\": true, \"wall_seconds\": "
      << format_double(r.wall_seconds, 6) << ", \"success\": " << (r.ok ? "true" : "false")
-     << ", \"timed_out\": " << (r.timed_out ? "true" : "false")
+     << ", \"status\": \"" << r.status << "\""
      << ", \"states\": " << r.states;
   write_bench_stats_fields(os, stats);
   os << ", \"segments\": " << r.segments << ", \"peak_rss_kb\": " << r.peak_rss_kb << "}"
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
 
   TableWriter table({"path", "ok", "states", "segments", "wall s", "peak RSS MB"});
   const auto row = [&](const std::string& name, const RunOutcome& r) {
-    table.add_row({name, r.ok ? "yes" : (r.timed_out ? "timeout" : "no"),
+    table.add_row({name, r.ok ? "yes" : r.status == "ok" ? "no" : r.status,
                    std::to_string(r.states), std::to_string(r.segments),
                    format_double(r.wall_seconds), format_double(r.peak_rss_kb / 1024.0, 1)});
   };

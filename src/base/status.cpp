@@ -14,8 +14,26 @@ const char* error_code_name(ErrorCode code) {
     case ErrorCode::resource_exhausted: return "resource_exhausted";
     case ErrorCode::deadline_exceeded: return "deadline_exceeded";
     case ErrorCode::internal: return "internal";
+    case ErrorCode::cancelled: return "cancelled";
+    case ErrorCode::clause_budget: return "clause_budget";
   }
   return "internal";
+}
+
+bool parse_error_code(const std::string& name, ErrorCode& code) {
+  // The codes are contiguous from ok to clause_budget, the last one.
+  for (int i = 0; i <= static_cast<int>(ErrorCode::clause_budget); ++i) {
+    if (name == error_code_name(static_cast<ErrorCode>(i))) {
+      code = static_cast<ErrorCode>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool cut_short(ErrorCode code) {
+  return code == ErrorCode::deadline_exceeded || code == ErrorCode::cancelled ||
+         code == ErrorCode::clause_budget || code == ErrorCode::resource_exhausted;
 }
 
 int error_code_exit_status(ErrorCode code) {
@@ -26,6 +44,8 @@ int error_code_exit_status(ErrorCode code) {
     case ErrorCode::resource_exhausted: return 12;
     case ErrorCode::deadline_exceeded: return 13;
     case ErrorCode::internal: return 14;
+    case ErrorCode::cancelled: return 15;
+    case ErrorCode::clause_budget: return 12;
   }
   return 14;
 }

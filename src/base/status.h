@@ -9,9 +9,8 @@ namespace t2m {
 
 /// Error taxonomy shared by every public entry point. A failing stage tags its
 /// error with the category that decides how the caller degrades: `io_error`
-/// and `parse_error` reject the input, `resource_exhausted` and
-/// `deadline_exceeded` are graceful give-up verdicts eligible for best-so-far
-/// salvage, and `internal` is a bug.
+/// and `parse_error` reject the input, the cut_short() codes are graceful
+/// give-up verdicts, and `internal` is a bug.
 enum class ErrorCode {
   ok = 0,
   io_error,
@@ -19,14 +18,26 @@ enum class ErrorCode {
   resource_exhausted,
   deadline_exceeded,
   internal,
+  cancelled,      ///< the cooperative stop flag ended the run
+  clause_budget,  ///< an encoding overran its clause budget (keep last)
 };
 
 const char* error_code_name(ErrorCode code);
 
+/// Inverse of error_code_name; false for an unknown name.
+bool parse_error_code(const std::string& name, ErrorCode& code);
+
+/// True for the codes that end a run before it reached its own verdict —
+/// the clock, the stop flag, the clause budget or the memory cap. Such a run
+/// may carry a salvaged model, and its timings and conflict counts describe
+/// the cutoff rather than the workload.
+bool cut_short(ErrorCode code);
+
 /// Process exit code for a taxonomy category (`t2m` maps verdicts to these).
 /// 0 = success, 1 = generic failure (kept for legacy std::exception paths),
-/// 2 = usage error; the taxonomy gets the 10..14 band so scripts can
-/// distinguish "bad input" from "ran out of budget".
+/// 2 = usage error; the taxonomy gets the 10..15 band so scripts can
+/// distinguish "bad input" from "ran out of budget". A clause-budget overflow
+/// shares 12 with the memory cap: both mean "too big for this budget".
 int error_code_exit_status(ErrorCode code);
 
 /// A verdict: either ok() or an ErrorCode plus a human-readable message.

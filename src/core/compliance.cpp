@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "src/automaton/ops.h"
-#include "src/base/status.h"
 #include "src/obs/trace.h"
 #include "src/parallel/thread_pool.h"
 
@@ -12,20 +11,12 @@ namespace t2m {
 
 namespace {
 
-/// Amortised deadline poll shared by both DFS paths: reads the clock every
-/// 4096th leaf word and throws the structured timeout that cancels the
-/// whole check (the parallel path rethrows it from TaskGroup::wait()).
-struct DeadlinePoll {
-  const Deadline& deadline;
-  std::uint64_t ticks = 0;
-  void operator()() {
-    if ((ticks++ & 4095u) != 0 || !deadline.is_finite()) return;
-    if (deadline.expired()) {
-      throw_status(ErrorCode::deadline_exceeded,
-                   "compliance check exceeded the learn deadline");
-    }
-  }
-};
+/// The deadline poll shared by both DFS paths: a clock read every 4096th
+/// leaf word, throwing the structured timeout that cancels the whole check
+/// (the parallel path rethrows it from TaskGroup::wait()).
+DeadlinePoll leaf_poll(const Deadline& deadline) {
+  return DeadlinePoll(deadline, 4096, "compliance check exceeded the learn deadline");
+}
 
 }  // namespace
 
@@ -92,13 +83,13 @@ bool ComplianceChecker::packed_usable(const Nfa& model) const {
 
 void ComplianceChecker::check_packed_range(
     const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-    StateId hi, std::unordered_set<std::uint64_t>& seen,
+    StateId hi, const Deadline& deadline, std::unordered_set<std::uint64_t>& seen,
     std::set<std::vector<PredId>>& invalid) const {
   // Streaming DFS over packed keys: dedup and membership are both O(1)
   // integer hashing; only missing words are materialised.
   std::vector<PredId> prefix;
   prefix.reserve(l_);
-  DeadlinePoll poll{deadline_};
+  DeadlinePoll poll = leaf_poll(deadline);
   const auto dfs = [&](auto&& self, StateId state, std::uint64_t key) -> void {
     if (prefix.size() == l_) {
       poll();
@@ -118,7 +109,8 @@ void ComplianceChecker::check_packed_range(
 
 void ComplianceChecker::check_vec_range(
     const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-    StateId hi, std::unordered_set<std::vector<PredId>, VectorHash>& seen,
+    StateId hi, const Deadline& deadline,
+    std::unordered_set<std::vector<PredId>, VectorHash>& seen,
     std::set<std::vector<PredId>>& invalid) const {
   // Generic path: hashed vector keys. Taken when windows exceed 64 bits
   // or a model predicate is outside the trace's id range.
@@ -134,7 +126,7 @@ void ComplianceChecker::check_vec_range(
     }
     return packed_windows_.count(key) != 0;
   };
-  DeadlinePoll poll{deadline_};
+  DeadlinePoll poll = leaf_poll(deadline);
   const auto dfs = [&](auto&& self, StateId state) -> void {
     if (prefix.size() == l_) {
       poll();
@@ -174,7 +166,8 @@ void merge_chunk_results(std::vector<SeenSet>& seen,
 
 }  // namespace
 
-ComplianceResult ComplianceChecker::check(const Nfa& model) const {
+ComplianceResult ComplianceChecker::check(const Nfa& model,
+                                          const Deadline& deadline) const {
   T2M_SPAN_SCOPE(check_span, "compliance.check", "states", model.num_states());
   ComplianceResult result;
   result.trace_sequences = trace_windows_;
@@ -195,7 +188,7 @@ ComplianceResult ComplianceChecker::check(const Nfa& model) const {
     par::for_chunks(threads_, n_states, chunks,
                     [&](std::size_t c, std::size_t lo, std::size_t hi) {
                       T2M_SPAN("compliance.chunk", "chunk", c, "states", hi - lo);
-                      check_packed_range(adj, lo, hi, seen[c], invalid[c]);
+                      check_packed_range(adj, lo, hi, deadline, seen[c], invalid[c]);
                     });
     merge_chunk_results(seen, invalid, result);
   } else {
@@ -203,7 +196,7 @@ ComplianceResult ComplianceChecker::check(const Nfa& model) const {
     par::for_chunks(threads_, n_states, chunks,
                     [&](std::size_t c, std::size_t lo, std::size_t hi) {
                       T2M_SPAN("compliance.chunk", "chunk", c, "states", hi - lo);
-                      check_vec_range(adj, lo, hi, seen[c], invalid[c]);
+                      check_vec_range(adj, lo, hi, deadline, seen[c], invalid[c]);
                     });
     merge_chunk_results(seen, invalid, result);
   }

@@ -46,19 +46,18 @@ public:
                                         std::vector<std::vector<PredId>> windows,
                                         PredId max_pred);
 
-  ComplianceResult check(const Nfa& model) const;
+  /// `deadline` bounds the check cooperatively: the DFS polls it every few
+  /// thousand leaf words and throws StatusError(deadline_exceeded) when it
+  /// expires. On the parallel path the throw cancels the chunk and
+  /// TaskGroup::wait() rethrows it from check().
+  ComplianceResult check(const Nfa& model,
+                         const Deadline& deadline = Deadline::never()) const;
 
   /// Partitions check()'s DFS by start state across this many workers
   /// (1 = sequential). Per-chunk missing-word sets merge in state order, so
   /// the result — including counterexample selection downstream — is
   /// identical to the sequential check by set semantics.
   void set_threads(std::size_t threads) { threads_ = threads; }
-
-  /// Cooperative wall-clock bound on check(): the DFS polls it every few
-  /// thousand leaf words and throws StatusError(deadline_exceeded) when it
-  /// expires. On the parallel path the throw cancels the chunk and
-  /// TaskGroup::wait() rethrows it from check(). Defaults to never expiring.
-  void set_deadline(const Deadline& deadline) { deadline_ = deadline; }
 
   std::size_t window_length() const { return l_; }
   /// |P_l|: number of distinct trace windows.
@@ -84,16 +83,15 @@ private:
   /// the single full-range call.
   void check_packed_range(
       const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-      StateId hi, std::unordered_set<std::uint64_t>& seen,
+      StateId hi, const Deadline& deadline, std::unordered_set<std::uint64_t>& seen,
       std::set<std::vector<PredId>>& invalid) const;
   void check_vec_range(const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
-                       StateId lo, StateId hi,
+                       StateId lo, StateId hi, const Deadline& deadline,
                        std::unordered_set<std::vector<PredId>, VectorHash>& seen,
                        std::set<std::vector<PredId>>& invalid) const;
 
   std::size_t l_;
   std::size_t threads_ = 1;
-  Deadline deadline_;
   std::size_t trace_windows_ = 0;
   /// Packed representation: each window folds into one 64-bit key, built by
   /// a rolling shift over the sequence. Valid when l_ * bits_ <= 64.

@@ -190,7 +190,7 @@ public:
 
   /// True once any emission path hit the clause budget: the encoding is
   /// incomplete and solve() reports Unknown. The learner surfaces this as
-  /// LearnResult::budget_exceeded rather than a timeout.
+  /// ErrorCode::clause_budget rather than a timeout.
   bool overflowed() const { return overflowed_; }
 
   /// Imports the re-usable learned clauses of a previous (smaller-capacity)

@@ -40,21 +40,9 @@ private:
 };
 
 /// Folds a structured failure into the verdict the public entry points
-/// return instead of unwinding: deadline expiry reports as a timeout,
-/// allocation pressure as resource exhaustion; every other code keeps its
-/// taxonomy in `status` with no verdict flag beyond !success.
+/// return instead of unwinding.
 LearnResult failure_result(Status status) {
   LearnResult result;
-  switch (status.code()) {
-    case ErrorCode::deadline_exceeded:
-      result.timed_out = true;
-      break;
-    case ErrorCode::resource_exhausted:
-      result.resource_exhausted = true;
-      break;
-    default:
-      break;
-  }
   log_warn() << "learner: run failed: " << status.to_string();
   result.status = std::move(status);
   return result;
@@ -344,12 +332,10 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
         LearnResult r = worker.run_search_single(preds, sequence_length, segments,
                                                  compliance_checker, schema, deadline,
                                                  total);
-        // A verdict was reached only if neither the race's stop flag nor
-        // the deadline cut the lane short; a timed-out, budget-overflowed
-        // or memory-starved lane must not be crowned (another configuration
-        // may still fit).
-        if (!r.cancelled && !r.timed_out && !r.budget_exceeded &&
-            !r.resource_exhausted) {
+        // A verdict was reached only if nothing cut the lane short; a
+        // timed-out, budget-overflowed or memory-starved lane must not be
+        // crowned (another configuration may still fit).
+        if (!cut_short(r.status.code())) {
           int expected = -1;
           // order: seq_cst (default) — a cold, single-shot crowning; the
           // strongest order keeps the winner index and the stop raise below
@@ -361,9 +347,10 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
             T2M_INSTANT("portfolio.winner");
           }
         }
-        lane_span.arg("cancelled", r.cancelled);
+        const bool cancelled = r.status.code() == ErrorCode::cancelled;
+        lane_span.arg("cancelled", cancelled);
         lane_span.arg("success", r.success);
-        if (r.cancelled) T2M_INSTANT("portfolio.cancelled");
+        if (cancelled) T2M_INSTANT("portfolio.cancelled");
         results[i] = std::move(r);
       } catch (const StatusError& e) {
         lane_errors[i] = e.status();
@@ -405,7 +392,7 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
     found_fallback = true;
   } else {
     for (std::size_t i = 0; i < k; ++i) {
-      if (!results[i].cancelled && lane_errors[i].ok()) {
+      if (results[i].status.code() != ErrorCode::cancelled && lane_errors[i].ok()) {
         won = i;
         found_fallback = true;
         break;
@@ -432,11 +419,7 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
     PortfolioConfigStats& e = entries[i];
     e.name = variants[i].name;
     e.winner = have_verdict && i == won;
-    e.cancelled = results[i].cancelled;
-    e.failed = !lane_errors[i].ok();
-    if (e.failed) e.error = lane_errors[i].to_string();
-    e.finished = !e.failed && !results[i].cancelled && !results[i].timed_out &&
-                 !results[i].budget_exceeded && !results[i].resource_exhausted;
+    e.status = lane_errors[i].ok() ? results[i].status : lane_errors[i];
     e.states = results[i].states;
     e.sat_calls = results[i].stats.sat_calls;
     e.sat_conflicts = results[i].stats.sat_conflicts;
@@ -462,7 +445,7 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
                << " configurations";
   } else {
     log_info() << "learner: portfolio race ended with no verdict ("
-               << (result.cancelled ? "cancelled" : "timed out") << ")";
+               << result.status.to_string() << ")";
   }
   return result;
 }
@@ -513,8 +496,8 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
   // Best-so-far salvage: the last candidate that passed compliance but was
   // blocked by the trace-acceptance strengthening. A run cut short by the
   // deadline, the clause budget, or the memory cap hands this model back
-  // tagged `salvaged` instead of returning nothing — it is compliant for
-  // the window length it was checked at, just not a full verdict.
+  // (LearnResult::salvaged) instead of returning nothing — it is compliant
+  // for the window length it was checked at, just not a full verdict.
   std::optional<Nfa> best_model;
   std::size_t best_states = 0;
   const auto salvage = [&] {
@@ -522,7 +505,6 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     best_model->set_pred_names(preds.names_for(schema));
     result.model = std::move(*best_model);
     result.states = best_states;
-    result.salvaged = true;
     best_model.reset();
     log_info() << "learner: salvaged the best " << result.states
                << "-state model from the aborted run";
@@ -564,19 +546,24 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     ++result.stats.csp_builds;
   };
 
-  // Abandons the run at the current point (deadline expiry or cooperative
-  // cancellation), reporting which of the two it was. Uncancelled aborts
-  // salvage the best model so far; a cancelled lane lost a portfolio race
-  // where another lane owns the verdict, so it hands back nothing.
-  const auto abort_run = [&](bool was_stopped) {
+  // Ends the run with `status`, the one exit of the search. A cut-short run
+  // salvages the best model so far — except a cancelled one: it lost a
+  // portfolio race where another lane owns the verdict, so it hands back
+  // nothing.
+  const auto finish = [&](Status status) {
     if (csp) absorb_solver_stats(*csp);
-    result.timed_out = true;
-    result.cancelled = was_stopped;
-    if (!was_stopped) salvage();
+    if (cut_short(status.code()) && status.code() != ErrorCode::cancelled) salvage();
+    result.status = std::move(status);
     result.preds = std::move(preds);
     result.stats.construction_seconds = construction_watch.elapsed_seconds();
     result.stats.total_seconds = total.elapsed_seconds();
     return std::move(result);
+  };
+  // Why the search stopped between or inside solver calls without a verdict:
+  // the stop flag takes precedence over the clock.
+  const auto interrupted = [&] {
+    return stopped() ? Status(ErrorCode::cancelled, "the learn was cancelled")
+                     : Status::DeadlineExceeded("the learn deadline expired");
   };
 
   // Deadline expiry and allocation pressure anywhere inside the loop —
@@ -601,7 +588,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     bool next_n = false;
     std::size_t acceptance_blocks = 0;
     while (!next_n) {
-      if (deadline.expired() || stopped()) return abort_run(stopped());
+      if (deadline.expired() || stopped()) return finish(interrupted());
       ++result.stats.sat_calls;
       obs::Progress::global().add_sat_calls(1);
       sat::SolveResult sat_result;
@@ -614,18 +601,12 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
                                                                          : "unknown");
       }
       if (sat_result == sat::SolveResult::Unknown) {
-        if (csp->overflowed()) {
-          // The encoding itself overran the clause budget: a verdict about
-          // the instance's size at this configuration, not a timeout.
-          absorb_solver_stats(*csp);
-          result.budget_exceeded = true;
-          salvage();
-          result.preds = std::move(preds);
-          result.stats.construction_seconds = construction_watch.elapsed_seconds();
-          result.stats.total_seconds = total.elapsed_seconds();
-          return result;
-        }
-        return abort_run(stopped());
+        // An overflowed encoding is a verdict about the instance's size at
+        // this configuration, not a timeout.
+        return finish(csp->overflowed()
+                          ? Status(ErrorCode::clause_budget,
+                                   "the CSP encoding overran its clause budget")
+                          : interrupted());
       }
       if (sat_result == sat::SolveResult::Unsat) {
         if (config_.core_driven_stop && csp->unsat_for_all_states()) {
@@ -634,11 +615,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
           ++result.stats.core_stops;
           log_info() << "learner: Unsat core independent of the state count at N = "
                      << n << "; stopping the search";
-          absorb_solver_stats(*csp);
-          result.preds = std::move(preds);
-          result.stats.construction_seconds = construction_watch.elapsed_seconds();
-          result.stats.total_seconds = total.elapsed_seconds();
-          return result;
+          return finish(Status::Ok());
         }
         // No N-state automaton: grow N (Algorithm 1, lines 34-36).
         ++result.stats.state_increments;
@@ -648,7 +625,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
       }
       // Candidate model: compliance check (lines 38-48).
       Nfa candidate = csp->extract_model();
-      const ComplianceResult compliance = compliance_checker.check(candidate);
+      const ComplianceResult compliance = compliance_checker.check(candidate, deadline);
       bool acceptance_blocked = false;
       if (compliance.compliant && check_acceptance &&
           acceptance_blocks < config_.max_acceptance_blocks) {
@@ -674,17 +651,13 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
         continue;
       }
       if (compliance.compliant) {
-        absorb_solver_stats(*csp);
         candidate.set_pred_names(preds.names_for(schema));
         result.success = true;
         result.model = std::move(candidate);
         result.states = n;
-        result.preds = std::move(preds);
-        result.stats.construction_seconds = construction_watch.elapsed_seconds();
-        result.stats.total_seconds = total.elapsed_seconds();
         log_info() << "learner: " << n << "-state model found after "
                    << result.stats.sat_calls << " SAT calls";
-        return result;
+        return finish(Status::Ok());
       }
       ++result.stats.refinements;
       obs::Progress::global().add_refinements(1);
@@ -696,40 +669,17 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     }
   }
   } catch (const StatusError& e) {
-    const ErrorCode code = e.status().code();
-    if (code != ErrorCode::deadline_exceeded && code != ErrorCode::resource_exhausted) {
-      throw;
-    }
-    if (csp) absorb_solver_stats(*csp);
-    result.status = e.status();
-    if (code == ErrorCode::deadline_exceeded) {
-      result.timed_out = true;
-    } else {
-      result.resource_exhausted = true;
+    if (!cut_short(e.status().code())) throw;
+    if (e.code() == ErrorCode::resource_exhausted) {
       log_warn() << "learner: " << e.status().to_string();
     }
-    salvage();
-    result.preds = std::move(preds);
-    result.stats.construction_seconds = construction_watch.elapsed_seconds();
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
+    return finish(e.status());
   } catch (const std::bad_alloc&) {
-    if (csp) absorb_solver_stats(*csp);
-    result.status = Status::ResourceExhausted("allocation failed during the search");
-    result.resource_exhausted = true;
-    salvage();
-    result.preds = std::move(preds);
-    result.stats.construction_seconds = construction_watch.elapsed_seconds();
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
+    return finish(Status::ResourceExhausted("allocation failed during the search"));
   }
 
   // Exhausted the state budget.
-  if (csp) absorb_solver_stats(*csp);
-  result.preds = std::move(preds);
-  result.stats.construction_seconds = construction_watch.elapsed_seconds();
-  result.stats.total_seconds = total.elapsed_seconds();
-  return result;
+  return finish(Status::Ok());
 }
 
 }  // namespace t2m

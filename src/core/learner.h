@@ -83,15 +83,15 @@ struct LearnerConfig {
   /// first solve (CspOptions::preprocess).
   bool preprocess = false;
   /// Clause budget per CSP; 0 keeps the CspOptions default. Overrunning it
-  /// ends the learn with LearnResult::budget_exceeded.
+  /// ends the learn with ErrorCode::clause_budget.
   std::size_t max_clauses = 0;
   /// Cooperative cancellation (non-owning; may be null): polled between
   /// solver calls and inside Solver::solve at every conflict. A learn
-  /// aborted this way returns with `cancelled` (and timed_out) set.
+  /// aborted this way returns with ErrorCode::cancelled.
   const std::atomic<bool>* stop = nullptr;
   /// Global memory cap in bytes applied (via MemoryAccountant) for the
   /// duration of each public learn call; 0 = unlimited. Overrunning it ends
-  /// the learn with LearnResult::resource_exhausted — allocation pressure
+  /// the learn with ErrorCode::resource_exhausted — allocation pressure
   /// becomes a verdict, not a crash. The accountant is process-global, so
   /// concurrent learners share the cap.
   std::size_t max_memory_bytes = 0;
@@ -103,13 +103,11 @@ struct LearnerConfig {
 struct PortfolioConfigStats {
   std::string name;
   bool winner = false;
-  bool finished = false;   ///< reached a verdict before cancellation
-  bool cancelled = false;  ///< stopped by the race's stop flag
-  bool failed = false;     ///< the lane died with an error (see `error`)
-  /// Diagnostic for a failed lane ("internal: ..."); empty otherwise. A
-  /// crashed lane is cancelled out of the race without touching its
-  /// siblings — the portfolio survives it.
-  std::string error;
+  /// How the lane ended: ok when it reached a verdict, a cut_short() code
+  /// when the race's stop flag or a budget ended it, any other code when the
+  /// lane died with an error. A crashed lane leaves the race without
+  /// touching its siblings — the portfolio survives it.
+  Status status;
   std::size_t states = 0;
   std::size_t sat_calls = 0;
   std::uint64_t sat_conflicts = 0;
@@ -160,30 +158,19 @@ struct LearnStats {
   LearnStats& operator+=(const LearnStats& other);
 };
 
-// [[nodiscard]]: a learn verdict carries success/salvage flags the caller
-// must consult; discarding one hides failed or salvaged runs.
+// [[nodiscard]]: a learn verdict must be consulted; discarding one hides
+// failed or salvaged runs.
 struct [[nodiscard]] LearnResult {
+  /// The search reached its verdict with a model at the smallest N. Implies
+  /// status.ok(); an ok status without success means no model exists within
+  /// max_states.
   bool success = false;
-  bool timed_out = false;
-  /// The run was aborted by the cooperative stop flag (portfolio losers,
-  /// caller-driven cancellation); timed_out is also set for compatibility.
-  bool cancelled = false;
-  /// The CSP encoding overran its clause budget: the instance is intractable
-  /// at this budget, which is a verdict about the encoding size — distinct
-  /// from timed_out (a wall-clock accident of the machine).
-  bool budget_exceeded = false;
-  /// The run hit the configured memory cap (LearnerConfig::max_memory_bytes)
-  /// or an allocation failed: the budget_exceeded sibling for memory.
-  bool resource_exhausted = false;
-  /// `model` is the best model accepted so far (it passed compliance when it
-  /// was captured), salvaged from a run that timed out, overran its clause
-  /// budget, or exhausted memory before reaching a full verdict. Always
-  /// paired with one of those three flags; success stays false.
-  bool salvaged = false;
-  /// Structured detail for failed runs (taxonomy + diagnostic); ok() for
-  /// clean verdicts. Entry points return this instead of throwing.
+  /// How the run ended, the one record of it: ok for a verdict reached (model
+  /// or not), a cut_short() code when the clock, the stop flag, the clause
+  /// budget or the memory cap ended the search early, any other code for a
+  /// failure an entry point caught. Entry points return this, never throw.
   Status status;
-  Nfa model;                 ///< names attached; valid when success or salvaged
+  Nfa model;                 ///< names attached; valid when success or salvaged()
   std::size_t states = 0;    ///< the paper's N
   PredicateSequence preds;   ///< the abstraction output (vocabulary + P)
   /// The schema `preds` was interned against. Callers of the trace/sequence
@@ -191,6 +178,11 @@ struct [[nodiscard]] LearnResult {
   /// internally, and reporting needs it back (tools/t2m --ftrace).
   Schema schema;
   LearnStats stats;
+
+  /// `model` is the best model accepted so far, handed back from a run cut
+  /// short before its verdict. It passed compliance when it was captured; it
+  /// is not a full verdict. Cancelled runs never salvage.
+  bool salvaged() const { return !success && states > 0; }
 };
 
 /// The paper's model-learning algorithm end to end: trace abstraction,

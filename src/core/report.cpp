@@ -11,15 +11,17 @@ namespace t2m {
 
 namespace {
 
-/// The one-word verdict for a failed run, sharing the flag precedence
-/// between the report and the summary so the two never disagree.
-const char* failure_verdict(const LearnResult& result) {
-  if (result.resource_exhausted) return "out of memory";
-  if (result.budget_exceeded) return "hit the clause budget";
-  if (result.cancelled) return "was cancelled";
-  if (result.timed_out) return "timed out";
-  if (!result.status.ok()) return "failed with an error";
-  return "failed";
+/// How a run without a model ended, one phrase per status code: the report
+/// and the summary both print it, so the two never disagree.
+const char* failure_verdict(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::ok: return "found no model";
+    case ErrorCode::deadline_exceeded: return "timed out";
+    case ErrorCode::cancelled: return "was cancelled";
+    case ErrorCode::clause_budget: return "hit the clause budget";
+    case ErrorCode::resource_exhausted: return "ran out of memory";
+    default: return "failed with an error";
+  }
 }
 
 std::string json_escape(const std::string& text) {
@@ -53,10 +55,10 @@ const char* json_bool(bool value) { return value ? "true" : "false"; }
 std::string format_learn_report(const LearnResult& result, const Schema& schema) {
   std::ostringstream os;
   if (!result.success) {
-    os << "learning " << failure_verdict(result) << " after "
+    os << "learning " << failure_verdict(result.status.code()) << " after "
        << format_double(result.stats.total_seconds) << " s\n";
     if (!result.status.ok()) os << "error: " << result.status.to_string() << "\n";
-    if (result.salvaged) {
+    if (result.salvaged()) {
       os << "salvaged best-so-far model: " << result.states << " states, "
          << result.model.num_transitions()
          << " transitions (compliant when captured; not a full verdict)\n";
@@ -93,14 +95,8 @@ std::string format_learn_report(const LearnResult& result, const Schema& schema)
 std::string format_learn_summary(const LearnResult& result) {
   std::ostringstream os;
   if (!result.success) {
-    if (result.resource_exhausted) {
-      os << "out of memory";
-    } else if (result.timed_out) {
-      os << "timeout";
-    } else {
-      os << "no model";
-    }
-    if (result.salvaged) os << ", salvaged " << result.states << "-state model";
+    os << failure_verdict(result.status.code());
+    if (result.salvaged()) os << ", salvaged " << result.states << "-state model";
     os << " (" << format_double(result.stats.total_seconds) << " s)";
     return os.str();
   }
@@ -114,10 +110,10 @@ std::string to_json(const PortfolioConfigStats& lane) {
   std::ostringstream os;
   os << "{\"name\": \"" << json_escape(lane.name) << "\""
      << ", \"winner\": " << json_bool(lane.winner)
-     << ", \"finished\": " << json_bool(lane.finished)
-     << ", \"cancelled\": " << json_bool(lane.cancelled)
-     << ", \"failed\": " << json_bool(lane.failed);
-  if (lane.failed) os << ", \"error\": \"" << json_escape(lane.error) << "\"";
+     << ", \"status\": \"" << error_code_name(lane.status.code()) << "\"";
+  if (!lane.status.ok()) {
+    os << ", \"error\": \"" << json_escape(lane.status.to_string()) << "\"";
+  }
   os << ", \"states\": " << lane.states << ", \"sat_calls\": " << lane.sat_calls
      << ", \"sat_conflicts\": " << lane.sat_conflicts
      << ", \"sat_propagations\": " << lane.sat_propagations
@@ -162,11 +158,7 @@ std::string to_json(const LearnStats& stats) {
 std::string to_json(const LearnResult& result) {
   std::ostringstream os;
   os << "{\"success\": " << json_bool(result.success)
-     << ", \"timed_out\": " << json_bool(result.timed_out)
-     << ", \"cancelled\": " << json_bool(result.cancelled)
-     << ", \"budget_exceeded\": " << json_bool(result.budget_exceeded)
-     << ", \"resource_exhausted\": " << json_bool(result.resource_exhausted)
-     << ", \"salvaged\": " << json_bool(result.salvaged)
+     << ", \"status\": \"" << error_code_name(result.status.code()) << "\""
      << ", \"states\": " << result.states
      << ", \"transitions\": " << result.model.num_transitions()
      << ", \"predicates\": " << result.preds.vocab.size();
@@ -191,11 +183,8 @@ void publish_learn_metrics(const LearnResult& result) {
   const LearnStats& s = result.stats;
   obs::count("learn.runs");
   if (result.success) obs::count("learn.success");
-  if (result.timed_out) obs::count("learn.timeouts");
-  if (result.cancelled) obs::count("learn.cancelled");
-  if (result.budget_exceeded) obs::count("learn.budget_exceeded");
-  if (result.resource_exhausted) obs::count("learn.resource_exhausted");
-  if (result.salvaged) obs::count("learn.salvaged");
+  obs::count(("learn.status." + std::string(error_code_name(result.status.code()))).c_str());
+  if (result.salvaged()) obs::count("learn.salvaged");
   obs::count("learn.sat_calls", s.sat_calls);
   obs::count("learn.refinements", s.refinements);
   obs::count("learn.state_increments", s.state_increments);

@@ -25,7 +25,8 @@ std::string to_json(const PortfolioConfigStats& lane);
 /// all go through it, so the key names cannot drift between consumers.
 std::string to_json(const LearnStats& stats);
 
-/// Verdict envelope for `t2m --stats-out`: run flags + "stats": to_json(...).
+/// Verdict envelope for `t2m --stats-out`: "success", "status" (the error
+/// code name) + "stats": to_json(...).
 std::string to_json(const LearnResult& result);
 
 /// The flat work-counter fields of the one-record-per-line bench JSON

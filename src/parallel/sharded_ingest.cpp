@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "src/abstraction/event_stream.h"
-#include "src/base/status.h"
 #include "src/obs/trace.h"
 #include "src/parallel/scratch_arena.h"
 #include "src/parallel/thread_pool.h"
@@ -41,19 +40,11 @@ struct ShardScan {
   std::vector<std::uint32_t> seq;
 };
 
-/// Amortised deadline poll for the scan and merge loops: reads the clock
-/// every 8192nd call and throws the structured timeout on expiry.
-struct IngestDeadlinePoll {
-  const Deadline& deadline;
-  std::uint64_t ticks = 0;
-  void operator()() {
-    if ((ticks++ & 8191u) != 0 || !deadline.is_finite()) return;
-    if (deadline.expired()) {
-      throw_status(ErrorCode::deadline_exceeded,
-                   "trace ingest exceeded the learn deadline");
-    }
-  }
-};
+/// The deadline poll for the scan and merge loops: a clock read every
+/// 8192nd call, throwing the structured timeout on expiry.
+DeadlinePoll ingest_poll(const Deadline& deadline) {
+  return DeadlinePoll(deadline, 8192, "trace ingest exceeded the learn deadline");
+}
 
 /// Cuts `content` at line boundaries into up to `shards` non-empty regions.
 std::vector<std::string_view> split_regions(std::string_view content,
@@ -100,7 +91,7 @@ void scan_shard(std::string_view region, bool fresh_start,
 
   std::string task, event;
   std::string_view line;
-  IngestDeadlinePoll poll{opt.deadline};
+  DeadlinePoll poll = ingest_poll(opt.deadline);
   while (lines.next(line)) {
     poll();
     if (!parse_ftrace_line(line, task, event)) continue;
@@ -199,7 +190,7 @@ ShardedIngestResult sequential_ingest(std::string_view content,
   if (opt.segmented) segmenter.emplace(opt.window);
   ComplianceWindowBuilder builder(opt.compliance_length);
   std::vector<PredId> seq;
-  IngestDeadlinePoll poll{opt.deadline};
+  DeadlinePoll poll = ingest_poll(opt.deadline);
   while (const auto id = stream.next()) {
     poll();
     if (segmenter) segmenter->push(*id);
@@ -331,7 +322,7 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
                                  const auto member) -> std::vector<std::vector<PredId>> {
     OrderedWindowMerge merged;
     std::vector<PredId> tail;
-    IngestDeadlinePoll poll{options.deadline};
+    DeadlinePoll poll = ingest_poll(options.deadline);
     for (std::size_t s = 0; s < scans.size(); ++s) {
       emit_cross_windows(tail, slice_front(lead_global[s], L > 0 ? L - 1 : 0), L, merged);
       for (const auto& local_window : scans[s].*member) {

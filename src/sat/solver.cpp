@@ -859,10 +859,6 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         if (plog_ != nullptr) plog_->conclude_unknown();
         return SolveResult::Unknown;
       }
-      if (conflict_budget_ != 0 && conflicts_total >= conflict_budget_) {
-        if (plog_ != nullptr) plog_->conclude_unknown();
-        return SolveResult::Unknown;
-      }
       if (learnts_.size() > max_learned) {
         reduce_learned();
         maybe_garbage_collect();

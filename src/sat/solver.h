@@ -19,8 +19,8 @@ class Preprocessor;
 class ProofLog;
 struct PreprocessOptions;
 
-/// Outcome of a solve() call. Unknown is returned when the deadline or
-/// conflict budget ran out before a decision was reached.
+/// Outcome of a solve() call. Unknown is returned when the deadline expired
+/// or the stop flag was raised before a decision was reached.
 enum class SolveResult : std::uint8_t { Sat, Unsat, Unknown };
 
 /// Runtime statistics, exposed for the bench harnesses.
@@ -176,9 +176,8 @@ public:
   /// clauses remain sound and keep their pruning power.
   void reset_branching_heuristics();
 
-  /// Cooperative limits; checked between conflicts.
+  /// Cooperative wall-clock limit; checked between conflicts.
   void set_deadline(Deadline deadline) { deadline_ = deadline; }
-  void set_conflict_budget(std::uint64_t budget) { conflict_budget_ = budget; }
 
   /// Cooperative cancellation: a non-owning flag polled at every conflict
   /// (and at solve() entry). When it reads true, solve() returns Unknown at
@@ -328,7 +327,6 @@ private:
   std::uint32_t lbd_stamp_gen_ = 0;
 
   Deadline deadline_;
-  std::uint64_t conflict_budget_ = 0;  // 0 = unlimited
   /// Cooperative cancellation: polled with relaxed loads at solve entry and
   /// every conflict. The flag carries no data — result visibility comes from
   /// the joining structure (TaskGroup) on the raising side.

@@ -6,6 +6,8 @@
 #include <limits>
 #include <optional>
 
+#include "src/base/status.h"
+
 namespace t2m {
 
 /// Wall-clock stopwatch used by the learner and the bench harnesses.
@@ -57,6 +59,26 @@ public:
 
 private:
   std::optional<Stopwatch::Clock::time_point> expiry_;
+};
+
+/// Amortised deadline poll for hot loops: reads the clock on every
+/// `interval`th call (a power of two) and throws
+/// StatusError(deadline_exceeded, message) once the deadline has passed.
+class DeadlinePoll {
+public:
+  DeadlinePoll(const Deadline& deadline, std::uint64_t interval, const char* message)
+      : deadline_(deadline), mask_(interval - 1), message_(message) {}
+
+  void operator()() {
+    if ((ticks_++ & mask_) != 0 || !deadline_.is_finite()) return;
+    if (deadline_.expired()) throw_status(ErrorCode::deadline_exceeded, message_);
+  }
+
+private:
+  const Deadline& deadline_;
+  std::uint64_t mask_;
+  const char* message_;
+  std::uint64_t ticks_ = 0;
 };
 
 }  // namespace t2m

@@ -507,7 +507,7 @@ TEST(ClauseBudget, OverflowIsDetectedDuringEmission) {
 
 TEST(ClauseBudget, LearnerReportsBudgetExceeded) {
   // End to end: a learner whose CSP overruns the clause budget must report
-  // budget_exceeded — distinct from a wall-clock timeout.
+  // clause_budget — distinct from a wall-clock timeout.
   LearnerConfig config;
   config.max_clauses = 64;
   config.persistent_solver = false;
@@ -523,8 +523,7 @@ TEST(ClauseBudget, LearnerReportsBudgetExceeded) {
   }
   const LearnResult r = ModelLearner(config).learn(rec.take());
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.budget_exceeded);
-  EXPECT_FALSE(r.timed_out);
+  EXPECT_EQ(r.status.code(), ErrorCode::clause_budget);
 }
 
 TEST(ReseedAcrossRebuilds, ImportsClausesAndPreservesVerdicts) {

@@ -317,12 +317,12 @@ TEST(DeadlineFaults, ComplianceCheckHonoursExpiredDeadline) {
   model.add_transition(0, 0, 1);
   model.add_transition(1, 1, 0);
   const std::vector<PredId> seq = {0, 1, 0, 1};
-  ComplianceChecker checker(seq, 2);
-  checker.set_deadline(Deadline::after_seconds(-1.0));
-  EXPECT_EQ(thrown_code([&] { checker.check(model); }), ErrorCode::deadline_exceeded);
-  // A fresh checker without the deadline still completes.
-  ComplianceChecker healthy(seq, 2);
-  EXPECT_TRUE(healthy.check(model).compliant);
+  const ComplianceChecker checker(seq, 2);
+  const Deadline expired = Deadline::after_seconds(-1.0);
+  EXPECT_EQ(thrown_code([&] { checker.check(model, expired); }),
+            ErrorCode::deadline_exceeded);
+  // The same checker without a deadline still completes.
+  EXPECT_TRUE(checker.check(model).compliant);
 }
 
 TEST(DeadlineFaults, LearnWithExpiredDeadlineReturnsTimeoutVerdict) {
@@ -332,7 +332,7 @@ TEST(DeadlineFaults, LearnWithExpiredDeadlineReturnsTimeoutVerdict) {
   config.timeout_seconds = 1e-9;
   const LearnResult r = ModelLearner(config).learn(t);
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), ErrorCode::deadline_exceeded);
 }
 
 // --- memory-cap verdicts and best-so-far salvage ---------------------------
@@ -344,7 +344,6 @@ TEST(MemoryCap, LearnUnderTinyCapReturnsResourceExhaustedVerdict) {
   config.max_memory_bytes = 4096;  // far below what the run needs
   const LearnResult r = ModelLearner(config).learn(t);
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.resource_exhausted);
   EXPECT_EQ(r.status.code(), ErrorCode::resource_exhausted);
   // The learner scopes the cap to the call: the global limit is restored.
   EXPECT_EQ(MemoryAccountant::global().limit(), 0u);
@@ -375,8 +374,8 @@ TEST(Salvage, RtlinuxRunKilledByAllocationFailureSalvagesCompliantModel) {
   failpoint::arm("arena.alloc", late);
   const LearnResult r = ModelLearner(config).learn(t);
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.resource_exhausted);
-  ASSERT_TRUE(r.salvaged);
+  EXPECT_EQ(r.status.code(), ErrorCode::resource_exhausted);
+  ASSERT_TRUE(r.salvaged());
   EXPECT_EQ(r.states, clean.states);
   // The salvaged model passed compliance when it was captured — and still
   // does against the trace's window set.
@@ -395,8 +394,8 @@ TEST(Salvage, CancelledLaneDoesNotSalvage) {
   config.stop = &stop;
   const LearnResult r = ModelLearner(config).learn(t);
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_FALSE(r.salvaged);
+  EXPECT_EQ(r.status.code(), ErrorCode::cancelled);
+  EXPECT_FALSE(r.salvaged());
 }
 
 // --- portfolio lane isolation ----------------------------------------------
@@ -415,11 +414,11 @@ TEST(PortfolioFaults, CrashedLaneDoesNotTakeDownTheRace) {
   ASSERT_EQ(r.stats.portfolio.size(), 3u);
   int failed = 0, winners = 0;
   for (const PortfolioConfigStats& lane : r.stats.portfolio) {
-    failed += lane.failed ? 1 : 0;
+    const bool lane_failed = lane.status.code() == ErrorCode::internal;
+    failed += lane_failed ? 1 : 0;
     winners += lane.winner ? 1 : 0;
-    if (lane.failed) {
+    if (lane_failed) {
       EXPECT_FALSE(lane.winner);
-      EXPECT_NE(lane.error.find("internal"), std::string::npos);
     }
   }
   EXPECT_EQ(failed, 1);
@@ -441,7 +440,7 @@ TEST(PortfolioFaults, LaneCrashStress) {
     int winners = 0, failed = 0;
     for (const PortfolioConfigStats& lane : r.stats.portfolio) {
       winners += lane.winner ? 1 : 0;
-      failed += lane.failed ? 1 : 0;
+      failed += lane.status.code() == ErrorCode::internal ? 1 : 0;
     }
     EXPECT_EQ(winners, 1) << "round " << round;
     EXPECT_EQ(failed, 1) << "round " << round;
@@ -458,7 +457,7 @@ TEST(PortfolioFaults, AllLanesCrashedStillReturnsAVerdict) {
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.status.code(), ErrorCode::internal);
   for (const PortfolioConfigStats& lane : r.stats.portfolio) {
-    EXPECT_TRUE(lane.failed);
+    EXPECT_EQ(lane.status.code(), ErrorCode::internal);
     EXPECT_FALSE(lane.winner);
   }
 }

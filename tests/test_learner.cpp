@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
+#include "src/core/report.h"
+#include "src/sim/rtlinux/workloads.h"
 #include "src/trace/recorder.h"
 
 namespace t2m {
@@ -133,7 +137,53 @@ TEST(Learner, TimeoutReported) {
   const LearnResult r =
       ModelLearner(config).learn(event_trace(events, {"a", "b", "c", "d", "e"}));
   EXPECT_FALSE(r.success);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), ErrorCode::deadline_exceeded);
+}
+
+TEST(Learner, CutShortRunsReadTheSameInReportAndSummary) {
+  // Every way a run can be cut short carries its own status code, and the
+  // full report ("learning <outcome> after ...") and the one-line summary
+  // ("<outcome> (...)") name the same outcome for it.
+  const auto expect_outcome = [](ErrorCode code, const LearnerConfig& config,
+                                 const Trace& trace) {
+    const LearnResult r = ModelLearner(config).learn(trace);
+    const std::string name = error_code_name(code);
+    ASSERT_FALSE(r.success) << name;
+    EXPECT_EQ(r.status.code(), code) << name;
+    EXPECT_TRUE(cut_short(r.status.code())) << name;
+
+    const std::string report = format_learn_report(r, trace.schema());
+    const std::string lead = "learning ";
+    const std::size_t after = report.find(" after ");
+    ASSERT_EQ(report.rfind(lead, 0), 0u) << report;
+    ASSERT_NE(after, std::string::npos) << report;
+    const std::string outcome = report.substr(lead.size(), after - lead.size());
+    const std::string summary = format_learn_summary(r);
+    EXPECT_EQ(summary.rfind(outcome, 0), 0u)
+        << name << ": report says '" << outcome << "', summary says '" << summary << "'";
+  };
+  const Trace small = event_trace({"a", "b", "a", "b", "c", "a", "b", "c", "a", "c",
+                                   "b", "a", "c", "b"},
+                                  {"a", "b", "c"});
+
+  LearnerConfig deadline;  // expires before the first solve: the learner's poll
+  deadline.timeout_seconds = 1e-9;
+  expect_outcome(ErrorCode::deadline_exceeded, deadline, small);
+
+  std::atomic<bool> raised{true};
+  LearnerConfig cancelled;
+  cancelled.stop = &raised;
+  expect_outcome(ErrorCode::cancelled, cancelled, small);
+
+  LearnerConfig clause_budget;
+  clause_budget.max_clauses = 64;
+  clause_budget.persistent_solver = false;
+  expect_outcome(ErrorCode::clause_budget, clause_budget, small);
+
+  LearnerConfig memory;
+  memory.max_memory_bytes = 4096;
+  expect_outcome(ErrorCode::resource_exhausted, memory,
+                 sim::generate_full_coverage_sched_trace(2000));
 }
 
 TEST(Learner, MaxStatesBoundsSearch) {
@@ -143,7 +193,7 @@ TEST(Learner, MaxStatesBoundsSearch) {
   config.max_states = 1;
   const LearnResult r = ModelLearner(config).learn(t);
   EXPECT_FALSE(r.success);
-  EXPECT_FALSE(r.timed_out);
+  EXPECT_TRUE(r.status.ok());
 }
 
 TEST(Learner, StatsAreConsistent) {

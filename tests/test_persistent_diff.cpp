@@ -67,7 +67,7 @@ Trace random_trace(Rng& rng, std::size_t min_len, std::size_t max_len,
 void expect_equivalent(const LearnResult& persistent, const LearnResult& fresh,
                        const LearnerConfig& config, const std::string& what) {
   ASSERT_EQ(persistent.success, fresh.success) << what;
-  ASSERT_EQ(persistent.timed_out, fresh.timed_out) << what;
+  ASSERT_EQ(persistent.status.code(), fresh.status.code()) << what;
   if (!persistent.success) return;
   EXPECT_EQ(persistent.states, fresh.states) << what;
   for (const LearnResult* r : {&persistent, &fresh}) {
@@ -137,7 +137,7 @@ TEST(PersistentDiff, AcceptanceBlockingPathAgrees) {
 }
 
 TEST(PersistentDiff, TimeoutPathReportsCleanly) {
-  // Both paths must degrade to a clean timed_out result under an
+  // Both paths must degrade to a clean deadline_exceeded result under an
   // effectively-zero budget — no crash, no stale model.
   Rng rng(11);
   const Trace t = random_trace(rng, 400, 600, 4);
@@ -147,7 +147,7 @@ TEST(PersistentDiff, TimeoutPathReportsCleanly) {
     config.timeout_seconds = 1e-9;
     const LearnResult r = ModelLearner(config).learn(t);
     EXPECT_FALSE(r.success) << "persistent=" << persistent;
-    EXPECT_TRUE(r.timed_out) << "persistent=" << persistent;
+    EXPECT_EQ(r.status.code(), ErrorCode::deadline_exceeded) << "persistent=" << persistent;
   }
 }
 

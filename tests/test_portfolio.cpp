@@ -63,7 +63,7 @@ TEST(Portfolio, LearnsSameStateCountAsSequential) {
     for (const auto& entry : raced.stats.portfolio) {
       if (entry.winner) {
         ++winners;
-        EXPECT_TRUE(entry.finished);
+        EXPECT_TRUE(entry.status.ok());
         EXPECT_EQ(entry.states, raced.states);
       }
       EXPECT_FALSE(entry.name.empty());
@@ -101,11 +101,11 @@ TEST(Portfolio, CallerStopFlagCancelsTheWholeRace) {
   const LearnResult result =
       ModelLearner(config).learn(sim::generate_counter_trace({}));
   EXPECT_FALSE(result.success);
-  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.status.code(), ErrorCode::cancelled);
   ASSERT_EQ(result.stats.portfolio.size(), 3u);
   for (const auto& entry : result.stats.portfolio) {
     EXPECT_FALSE(entry.winner);
-    EXPECT_FALSE(entry.finished);
+    EXPECT_EQ(entry.status.code(), ErrorCode::cancelled);
   }
 }
 
@@ -117,8 +117,7 @@ TEST(Portfolio, StopFlagCancelsLearn) {
   const LearnResult result =
       ModelLearner(config).learn(sim::generate_counter_trace({}));
   EXPECT_FALSE(result.success);
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_TRUE(result.timed_out);
+  EXPECT_EQ(result.status.code(), ErrorCode::cancelled);
 }
 
 TEST(Portfolio, SolverKnobsKeepVerdictsIdentical) {

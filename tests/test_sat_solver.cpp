@@ -254,13 +254,6 @@ TEST(SatSolver, ResetBranchingHeuristicsKeepsVerdicts) {
   EXPECT_EQ(sat_instance.solve(), SolveResult::Sat);
 }
 
-TEST(SatSolver, ConflictBudgetReturnsUnknown) {
-  Solver s;
-  add_pigeonhole(s, 8);
-  s.set_conflict_budget(5);
-  EXPECT_EQ(s.solve(), SolveResult::Unknown);
-}
-
 // --- randomised cross-check against brute force ---------------------------
 
 CnfFormula random_formula(Rng& rng, std::size_t vars, std::size_t clauses) {

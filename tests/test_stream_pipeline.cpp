@@ -214,7 +214,7 @@ void expect_stream_matches_in_memory(const Trace& trace, const LearnerConfig& co
   const LearnResult streamed = learner.learn_from_stream(stream);
 
   ASSERT_EQ(streamed.success, reference.success);
-  ASSERT_EQ(streamed.timed_out, reference.timed_out);
+  ASSERT_EQ(streamed.status.code(), reference.status.code());
   EXPECT_EQ(streamed.states, reference.states);
   EXPECT_EQ(streamed.stats.sequence_length, reference.stats.sequence_length);
   EXPECT_EQ(streamed.stats.vocabulary_size, reference.stats.vocabulary_size);

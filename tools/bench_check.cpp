@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/util/cli.h"
 #include "src/util/string_utils.h"
 
@@ -46,10 +47,7 @@ namespace {
 struct Record {
   double wall_seconds = 0.0;
   std::uint64_t sat_conflicts = 0;
-  bool timed_out = false;
-  bool budget_exceeded = false;
-  bool resource_exhausted = false;
-  bool salvaged = false;
+  t2m::ErrorCode status = t2m::ErrorCode::ok;
   bool wall_exempt = false;
   std::uint64_t fingerprint = 0;  ///< 0 = not recorded; gate needs both sides
   /// Record carries a nested full-stats "metrics" object (the obs-layer
@@ -59,11 +57,17 @@ struct Record {
 };
 
 /// A run that was cut short — by the clock, the clause budget, or the memory
-/// cap (a salvaged record is by definition one of those). Its wall time and
-/// conflict count describe the cutoff, not the workload, so neither is
-/// comparable against (or as) a baseline.
-bool incomplete(const Record& r) {
-  return r.timed_out || r.budget_exceeded || r.resource_exhausted || r.salvaged;
+/// cap. Its wall time and conflict count describe the cutoff, not the
+/// workload, so neither is comparable against (or as) a baseline.
+bool incomplete(const Record& r) { return t2m::cut_short(r.status); }
+
+/// The regression tag for a run cut short against a completed baseline.
+const char* cut_short_tag(t2m::ErrorCode code) {
+  switch (code) {
+    case t2m::ErrorCode::clause_budget: return "BUDGET   ";
+    case t2m::ErrorCode::resource_exhausted: return "MEMORY   ";
+    default: return "TIMEOUT  ";
+  }
 }
 
 /// Checked numeric field parse: a malformed artefact is a tooling bug, not a
@@ -98,6 +102,15 @@ std::uint64_t parse_fingerprint(const std::string& text, const std::string& path
   }
   std::cerr << "bench_check: malformed fingerprint '" << text << "' in " << path << "\n";
   std::exit(2);
+}
+
+t2m::ErrorCode parse_status(const std::string& text, const std::string& path) {
+  t2m::ErrorCode code = t2m::ErrorCode::ok;
+  if (!t2m::parse_error_code(text, code)) {
+    std::cerr << "bench_check: malformed status '" << text << "' in " << path << "\n";
+    std::exit(2);
+  }
+  return code;
 }
 
 std::optional<std::string> field_text(const std::string& line, const std::string& key) {
@@ -137,14 +150,7 @@ std::map<std::string, Record> load(const std::string& path) {
     if (const auto conflicts = field_text(line, "sat_conflicts")) {
       rec.sat_conflicts = parse_conflicts(*conflicts, path);
     }
-    if (const auto timed_out = field_text(line, "timed_out")) rec.timed_out = *timed_out == "true";
-    if (const auto budget = field_text(line, "budget_exceeded")) {
-      rec.budget_exceeded = *budget == "true";
-    }
-    if (const auto mem = field_text(line, "resource_exhausted")) {
-      rec.resource_exhausted = *mem == "true";
-    }
-    if (const auto salvaged = field_text(line, "salvaged")) rec.salvaged = *salvaged == "true";
+    if (const auto status = field_text(line, "status")) rec.status = parse_status(*status, path);
     if (const auto exempt = field_text(line, "wall_exempt")) rec.wall_exempt = *exempt == "true";
     if (const auto fp = field_text(line, "fingerprint")) {
       rec.fingerprint = parse_fingerprint(*fp, path);
@@ -186,23 +192,13 @@ int main(int argc, char** argv) {
     }
     const Record& got = it->second;
     ++checked;
-    // The two cut-short verdicts are distinct regressions: a timeout blames
-    // the machine/budgeted clock, a budget overflow blames the encoding size
-    // — a bench that newly reports either against a completed baseline fails
-    // with the matching tag.
-    if (got.budget_exceeded && !incomplete(base)) {
-      std::cerr << "BUDGET   " << bench << " (clause budget exceeded; baseline completed)\n";
-      ++regressions;
-      continue;
-    }
-    if (got.timed_out && !incomplete(base)) {
-      std::cerr << "TIMEOUT  " << bench << " (baseline completed)\n";
-      ++regressions;
-      continue;
-    }
-    if ((got.resource_exhausted || got.salvaged) && !incomplete(base)) {
-      std::cerr << "MEMORY   " << bench
-                << " (resource-exhausted/salvaged; baseline completed)\n";
+    // The cut-short verdicts are distinct regressions: a timeout blames the
+    // machine/budgeted clock, a budget overflow the encoding size, a memory
+    // overrun the footprint — a bench that newly reports one against a
+    // completed baseline fails with the matching tag.
+    if (incomplete(got) && !incomplete(base)) {
+      std::cerr << cut_short_tag(got.status) << bench << " ("
+                << t2m::error_code_name(got.status) << "; baseline completed)\n";
       ++regressions;
       continue;
     }

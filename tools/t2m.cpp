@@ -73,7 +73,8 @@ int usage() {
       "                   --verbose is shorthand for debug)\n"
       "\n"
       "exit codes: 0 ok, 1 no model, 2 usage, 10 io error, 11 parse error,\n"
-      "            12 out of memory, 13 deadline exceeded, 14 internal error\n";
+      "            12 out of memory or clause budget, 13 deadline exceeded,\n"
+      "            14 internal error, 15 cancelled\n";
   return 2;
 }
 
@@ -201,26 +202,18 @@ int cmd_learn(const t2m::CliArgs& args) {
 
   // A salvaged best-so-far model is still worth writing out for inspection.
   const auto dot = args.get("dot");
-  if (dot && !dot->empty() && (result.success || result.salvaged)) {
+  if (dot && !dot->empty() && (result.success || result.salvaged())) {
     std::ofstream os(*dot);
     t2m::write_dot(os, result.model);
     std::cout << "wrote DOT to " << *dot << "\n";
   }
 
   if (result.success) return 0;
-  // Failed learns exit through the taxonomy band so scripts can tell an
-  // out-of-memory verdict from a timeout from a plain "no model".
-  if (!result.status.ok()) {
-    std::cerr << "t2m: " << result.status.to_string() << "\n";
-    return t2m::error_code_exit_status(result.status.code());
-  }
-  if (result.resource_exhausted) {
-    return t2m::error_code_exit_status(t2m::ErrorCode::resource_exhausted);
-  }
-  if (result.timed_out && !result.cancelled) {
-    return t2m::error_code_exit_status(t2m::ErrorCode::deadline_exceeded);
-  }
-  return 1;
+  if (result.status.ok()) return 1;
+  // Cut-short and failed learns exit through the taxonomy band so scripts
+  // can tell an out-of-memory verdict from a timeout from a plain "no model".
+  std::cerr << "t2m: " << result.status.to_string() << "\n";
+  return t2m::error_code_exit_status(result.status.code());
 }
 
 int cmd_info(const t2m::CliArgs& args) {
