@@ -11,12 +11,11 @@ namespace t2m {
 
 namespace {
 
-/// The deadline poll shared by both DFS paths: a clock read every 4096th
-/// leaf word, throwing the structured timeout that cancels the whole check
-/// (the parallel path rethrows it from TaskGroup::wait()).
-DeadlinePoll leaf_poll(const Deadline& deadline) {
-  return DeadlinePoll(deadline, 4096, "compliance check exceeded the learn deadline");
-}
+/// The budget poll shared by both DFS paths, once per leaf word with a clock
+/// read every 4096th; a stop throws the structured verdict that cancels the
+/// whole check (the parallel path rethrows it from TaskGroup::wait()).
+constexpr std::uint64_t kLeafPollInterval = 4096;
+constexpr const char* kComplianceSite = "compliance check";
 
 }  // namespace
 
@@ -83,16 +82,16 @@ bool ComplianceChecker::packed_usable(const Nfa& model) const {
 
 void ComplianceChecker::check_packed_range(
     const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-    StateId hi, const Deadline& deadline, std::unordered_set<std::uint64_t>& seen,
+    StateId hi, const RunBudget& budget, std::unordered_set<std::uint64_t>& seen,
     std::set<std::vector<PredId>>& invalid) const {
   // Streaming DFS over packed keys: dedup and membership are both O(1)
   // integer hashing; only missing words are materialised.
   std::vector<PredId> prefix;
   prefix.reserve(l_);
-  DeadlinePoll poll = leaf_poll(deadline);
+  BudgetPoll poll(budget, kLeafPollInterval);
   const auto dfs = [&](auto&& self, StateId state, std::uint64_t key) -> void {
     if (prefix.size() == l_) {
-      poll();
+      poll.check(kComplianceSite);
       if (seen.insert(key).second && packed_windows_.count(key) == 0) {
         invalid.insert(prefix);
       }
@@ -109,7 +108,7 @@ void ComplianceChecker::check_packed_range(
 
 void ComplianceChecker::check_vec_range(
     const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-    StateId hi, const Deadline& deadline,
+    StateId hi, const RunBudget& budget,
     std::unordered_set<std::vector<PredId>, VectorHash>& seen,
     std::set<std::vector<PredId>>& invalid) const {
   // Generic path: hashed vector keys. Taken when windows exceed 64 bits
@@ -126,10 +125,10 @@ void ComplianceChecker::check_vec_range(
     }
     return packed_windows_.count(key) != 0;
   };
-  DeadlinePoll poll = leaf_poll(deadline);
+  BudgetPoll poll(budget, kLeafPollInterval);
   const auto dfs = [&](auto&& self, StateId state) -> void {
     if (prefix.size() == l_) {
-      poll();
+      poll.check(kComplianceSite);
       if (seen.insert(prefix).second && !in_trace(prefix)) {
         invalid.insert(prefix);
       }
@@ -167,7 +166,7 @@ void merge_chunk_results(std::vector<SeenSet>& seen,
 }  // namespace
 
 ComplianceResult ComplianceChecker::check(const Nfa& model,
-                                          const Deadline& deadline) const {
+                                          const RunBudget& budget) const {
   T2M_SPAN_SCOPE(check_span, "compliance.check", "states", model.num_states());
   ComplianceResult result;
   result.trace_sequences = trace_windows_;
@@ -188,7 +187,7 @@ ComplianceResult ComplianceChecker::check(const Nfa& model,
     par::for_chunks(threads_, n_states, chunks,
                     [&](std::size_t c, std::size_t lo, std::size_t hi) {
                       T2M_SPAN("compliance.chunk", "chunk", c, "states", hi - lo);
-                      check_packed_range(adj, lo, hi, deadline, seen[c], invalid[c]);
+                      check_packed_range(adj, lo, hi, budget, seen[c], invalid[c]);
                     });
     merge_chunk_results(seen, invalid, result);
   } else {
@@ -196,7 +195,7 @@ ComplianceResult ComplianceChecker::check(const Nfa& model,
     par::for_chunks(threads_, n_states, chunks,
                     [&](std::size_t c, std::size_t lo, std::size_t hi) {
                       T2M_SPAN("compliance.chunk", "chunk", c, "states", hi - lo);
-                      check_vec_range(adj, lo, hi, deadline, seen[c], invalid[c]);
+                      check_vec_range(adj, lo, hi, budget, seen[c], invalid[c]);
                     });
     merge_chunk_results(seen, invalid, result);
   }

@@ -46,12 +46,12 @@ public:
                                         std::vector<std::vector<PredId>> windows,
                                         PredId max_pred);
 
-  /// `deadline` bounds the check cooperatively: the DFS polls it every few
-  /// thousand leaf words and throws StatusError(deadline_exceeded) when it
-  /// expires. On the parallel path the throw cancels the chunk and
-  /// TaskGroup::wait() rethrows it from check().
-  ComplianceResult check(const Nfa& model,
-                         const Deadline& deadline = Deadline::never()) const;
+  /// `budget` bounds the check cooperatively: the DFS polls it at every
+  /// leaf word (the clock every few thousand) and throws
+  /// StatusError(deadline_exceeded or cancelled) once it says stop. On the
+  /// parallel path the throw cancels the chunk and TaskGroup::wait()
+  /// rethrows it from check().
+  ComplianceResult check(const Nfa& model, const RunBudget& budget = {}) const;
 
   /// Partitions check()'s DFS by start state across this many workers
   /// (1 = sequential). Per-chunk missing-word sets merge in state order, so
@@ -83,10 +83,10 @@ private:
   /// the single full-range call.
   void check_packed_range(
       const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-      StateId hi, const Deadline& deadline, std::unordered_set<std::uint64_t>& seen,
+      StateId hi, const RunBudget& budget, std::unordered_set<std::uint64_t>& seen,
       std::set<std::vector<PredId>>& invalid) const;
   void check_vec_range(const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
-                       StateId lo, StateId hi, const Deadline& deadline,
+                       StateId lo, StateId hi, const RunBudget& budget,
                        std::unordered_set<std::vector<PredId>, VectorHash>& seen,
                        std::set<std::vector<PredId>>& invalid) const;
 

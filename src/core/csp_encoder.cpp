@@ -21,6 +21,14 @@ namespace {
 
 constexpr std::uint32_t kNoDecodedState = std::numeric_limits<std::uint32_t>::max();
 
+/// Clause emission's budget poll, one per worker and one for the serial
+/// walk: the flags every item, the clock every 64th. A stop throws
+/// deadline_exceeded or cancelled — from a worker it is rethrown at the
+/// fork-join; either way the learner discards the half-built CSP and turns
+/// the escape into its verdict.
+constexpr std::uint64_t kEmissionPollInterval = 64;
+constexpr const char* kEmissionSite = "clause emission";
+
 /// One worker chunk's clause output. Literal payloads live in the chunk's
 /// own bump arena (no allocator contention between workers); the entry list
 /// preserves emission order for the deterministic splice.
@@ -76,22 +84,10 @@ struct ChunkBuf {
 /// overflowed.
 template <typename BuildFn>
 bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t threads,
-                  std::size_t n_items, const Deadline& deadline,
+                  std::size_t n_items, const RunBudget& budget,
                   const BuildFn& build) {
   if (n_items == 0) return true;
   const std::size_t soft_cap = max_clauses + max_clauses / 4 + 16384;
-
-  // Amortised deadline poll shared by workers and the serial walk: one clock
-  // read per 64 items. An expiry throws deadline_exceeded — from a worker it
-  // is rethrown at the fork-join; either way the half-built CSP is discarded
-  // by the learner, which converts the escape into its timed-out verdict.
-  const auto check_deadline = [&deadline](std::size_t i) {
-    if (!deadline.is_finite() || (i & 63u) != 0) return;
-    if (deadline.expired()) {
-      throw_status(ErrorCode::deadline_exceeded,
-                   "clause emission exceeded the learn deadline");
-    }
-  };
 
   const auto splice = [&](const ChunkBuf& buf) -> bool {
     for (const ChunkBuf::Entry& e : buf.entries) {
@@ -106,8 +102,9 @@ bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t thre
     // when the emission is destined to overflow.
     T2M_SPAN("encode.emit_serial", "items", n_items);
     ChunkBuf buf;
+    BudgetPoll poll(budget, kEmissionPollInterval);
     for (std::size_t i = 0; i < n_items; ++i) {
-      check_deadline(i);
+      poll.check(kEmissionSite);
       build(i, buf);
       if (buf.entries.size() >= 65536 ||
           solver.num_clauses() + buf.entries.size() > soft_cap) {
@@ -175,11 +172,12 @@ bool run_emission(sat::Solver& solver, std::size_t max_clauses, std::size_t thre
     ChunkBuf* buf = bufs[c].get();
     const std::size_t begin = c * per_chunk;
     const std::size_t end = std::min(n_items, begin + per_chunk);
-    group.run([&build, &approx_total, &check_deadline, buf, c, begin, end, soft_cap] {
+    group.run([&build, &approx_total, &budget, buf, c, begin, end, soft_cap] {
       T2M_SPAN("encode.emit_chunk", "chunk", c, "items", end - begin);
       std::size_t counted = 0;
+      BudgetPoll poll(budget, kEmissionPollInterval);
       for (std::size_t i = begin; i < end; ++i) {
-        check_deadline(i);
+        poll.check(kEmissionSite);
         build(i, *buf);
         const std::size_t delta = buf->entries.size() - counted;
         counted = buf->entries.size();
@@ -242,6 +240,7 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
   // Before any new_vars: default_phase seeds the phase array as variables
   // are created.
   solver_.set_config(options_.solver);
+  solver_.set_budget(options_.budget);
 
   // Lay out state variables: each segment of length w owns w+1 of them,
   // chained implicitly by sharing (dst of transition j is src of j+1).
@@ -318,7 +317,7 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
   const std::size_t cap = capacity_;
   const std::size_t n0 = num_states_;
   if (!run_emission(solver_, options_.max_clauses, options_.threads, num_state_vars_,
-                    options_.deadline,
+                    options_.budget,
                     [&](std::size_t sv, ChunkBuf& buf) {
                       sat::Lit* alo = buf.arena.alloc_array<sat::Lit>(cap);
                       for (std::size_t k = 0; k < cap; ++k) alo[k] = state_lit(sv, k);
@@ -372,7 +371,7 @@ void AutomatonCsp::activate_columns(std::size_t lo, std::size_t hi) {
   if (overflowed_) return;
   // At-most-one pairs whose larger column is new, chunked by state variable.
   if (!run_emission(solver_, options_.max_clauses, options_.threads, num_state_vars_,
-                    options_.deadline,
+                    options_.budget,
                     [&](std::size_t sv, ChunkBuf& buf) {
                       for (std::size_t j = std::max<std::size_t>(lo, 1); j < hi; ++j) {
                         for (std::size_t i = 0; i < j; ++i) {
@@ -429,7 +428,7 @@ void AutomatonCsp::encode_determinism_pairwise(std::size_t lo, std::size_t hi) {
   }
   if (!run_emission(
           solver_, options_.max_clauses, options_.threads, items.size(),
-          options_.deadline,
+          options_.budget,
           [&](std::size_t idx, ChunkBuf& buf) {
             const auto& group = transitions_with_pred_[items[idx].first];
             const std::size_t a_i = items[idx].second;
@@ -465,7 +464,7 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
   // sources already active only the pairs reaching into the new columns are
   // missing.
   if (!run_emission(solver_, options_.max_clauses, options_.threads, used_preds.size(),
-                    options_.deadline,
+                    options_.budget,
                     [&](std::size_t pi, ChunkBuf& buf) {
                       const sat::Var succ_base = succ_base_[used_preds[pi]];
                       const auto succ = [&](std::size_t k, std::size_t k2) {
@@ -485,7 +484,7 @@ void AutomatonCsp::encode_determinism_successor(std::size_t lo, std::size_t hi) 
   // Phase 2: the transition links, chunked over the flattened transition
   // order (by predicate, then group order).
   if (!run_emission(solver_, options_.max_clauses, options_.threads, trans_order_.size(),
-                    options_.deadline,
+                    options_.budget,
                     [&](std::size_t ti, ChunkBuf& buf) {
                       const std::size_t t = trans_order_[ti];
                       const sat::Var succ_base = succ_base_[preds_of_transition_[t]];
@@ -641,7 +640,7 @@ void AutomatonCsp::encode_forbidden_pair(
   // for all pairs (a, b): dst(a) != src(b). Chunked by chain.
   if (!run_emission(solver_, options_.max_clauses,
                     chains.size() >= 4096 ? options_.threads : 1, chains.size(),
-                    options_.deadline,
+                    options_.budget,
                     [&](std::size_t ci, ChunkBuf& buf) {
                       const ForbiddenChainCache::Chain& adj = chains[ci];
                       for (std::size_t k = lo; k < hi; ++k) {
@@ -770,22 +769,18 @@ std::size_t AutomatonCsp::reseed_from(const AutomatonCsp& old) {
   return imported;
 }
 
-sat::SolveResult AutomatonCsp::solve(const Deadline& deadline) {
+sat::SolveResult AutomatonCsp::solve() {
   if (overflowed_) return sat::SolveResult::Unknown;
   if (needs_preprocess_) {
     needs_preprocess_ = false;
     if (options_.preprocess) {
-      // The preprocessor shares this solve call's deadline: an expired (or
-      // near-expired) deadline degrades to a shorter, still-sound
-      // preprocessing pass instead of an unguarded stall before the search
-      // even starts.
-      sat::PreprocessOptions opts = options_.preprocess_opts;
-      opts.deadline = deadline;
+      // The preprocessor reads the solver's budget: a stop degrades to a
+      // shorter, still-sound preprocessing pass instead of an unguarded
+      // stall before the search even starts.
       T2M_SPAN("encode.preprocess", "clauses", solver_.num_clauses());
-      solver_.preprocess(opts);
+      solver_.preprocess(options_.preprocess_opts);
     }
   }
-  solver_.set_deadline(deadline);
   decoded_valid_ = false;
   if (!persistent()) return solver_.solve();
   // Guard assumptions select the active width; block guards replay the

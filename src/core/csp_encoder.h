@@ -98,14 +98,13 @@ struct CspOptions {
   /// the first solve. Structural variables are frozen automatically.
   bool preprocess = false;
   sat::PreprocessOptions preprocess_opts;
-  /// Cooperative wall-clock bound on clause emission (construction and
-  /// grow_to): workers and the splice poll it, and an expiry throws a
-  /// structured deadline_exceeded StatusError — the learner converts that
-  /// into its timed-out verdict (salvaging the best model so far) instead of
-  /// letting a huge encoding blow straight through the run's time budget.
-  /// Defaults to never expiring. Distinct from solve()'s per-call deadline,
-  /// which bounds the search itself.
-  Deadline deadline;
+  /// The run's limits, for clause emission and the search alike. Emission
+  /// (construction, grow_to, forbidden words) polls it per item and throws a
+  /// structured deadline_exceeded or cancelled StatusError once it says stop
+  /// — the learner turns that into its verdict instead of letting a huge
+  /// encoding blow through the run's time budget; solve() returns Unknown.
+  /// Defaults to never stopping.
+  RunBudget budget;
 };
 
 /// The automaton-existence hypothesis of Algorithm 1 (lines 18-33), encoded
@@ -154,13 +153,8 @@ public:
   /// CSP is a fixed-N instance.
   bool grow_to(std::size_t n);
 
-  /// Runs the solver; Unknown on deadline expiry.
-  sat::SolveResult solve(const Deadline& deadline = Deadline::never());
-
-  /// Cooperative cancellation, forwarded to the solver: when the flag reads
-  /// true, the next solve() poll returns Unknown. The portfolio driver
-  /// threads one flag through every racing worker's CSPs.
-  void set_stop_flag(const std::atomic<bool>* stop) { solver_.set_stop_flag(stop); }
+  /// Runs the solver; Unknown once options.budget says stop.
+  sat::SolveResult solve();
 
   /// After solve() == Unsat in persistent mode: true when the verdict
   /// provably holds for EVERY state count, so the learner can stop growing N

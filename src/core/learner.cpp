@@ -22,9 +22,7 @@ namespace t2m {
 namespace {
 
 /// Applies LearnerConfig::max_memory_bytes to the global accountant for the
-/// duration of one public learn call, restoring the previous cap on exit
-/// (nesting-safe: learn() delegating to learn_from_sequence() re-applies the
-/// same cap and restores it in LIFO order).
+/// duration of one public learn call, restoring the previous cap on exit.
 class ScopedMemoryLimit {
 public:
   explicit ScopedMemoryLimit(std::size_t limit)
@@ -46,6 +44,30 @@ LearnResult failure_result(Status status) {
   log_warn() << "learner: run failed: " << status.to_string();
   result.status = std::move(status);
   return result;
+}
+
+/// The shell every public entry point runs its body in: applies the memory
+/// cap for the call, starts the run's total stopwatch, and turns a
+/// structured failure or an allocation failure into the returned verdict.
+template <typename Body>
+LearnResult guarded_learn(const LearnerConfig& config, const Body& body) {
+  const ScopedMemoryLimit mem_limit(config.max_memory_bytes);
+  const Stopwatch total;
+  try {
+    return body(total);
+  } catch (const StatusError& e) {
+    return failure_result(e.status());
+  } catch (const std::bad_alloc&) {
+    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
+  }
+}
+
+/// A fresh budget for one phase of the run: the full timeout from now, plus
+/// the caller's stop flag.
+RunBudget phase_budget(const LearnerConfig& config) {
+  return RunBudget(config.timeout_seconds > 0 ? Deadline::after_seconds(config.timeout_seconds)
+                                              : Deadline::never(),
+                   config.stop);
 }
 
 }  // namespace
@@ -82,130 +104,36 @@ LearnStats& LearnStats::operator+=(const LearnStats& other) {
 ModelLearner::ModelLearner(LearnerConfig config) : config_(std::move(config)) {}
 
 LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
+  return guarded_learn(config_, [&](const Stopwatch& total) {
     AbstractionConfig abs_config = config_.abstraction;
     abs_config.window = config_.window;
-
     const Stopwatch abstraction_watch;
     PredicateSequence preds = abstract_trace(trace, abs_config, mode);
-    const double abstraction_seconds = abstraction_watch.elapsed_seconds();
-
-    LearnResult result = learn_from_sequence(std::move(preds), trace.schema());
-    result.stats.abstraction_seconds = abstraction_seconds;
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+    return search_sequence(std::move(preds), trace.schema(),
+                           abstraction_watch.elapsed_seconds(), total);
+  });
 }
 
 LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
                                               const Schema& schema) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
-    const std::size_t sequence_length = preds.length();
-    std::vector<Segment> segments = config_.segmented
-                                        ? segment_sequence(preds.seq, config_.window)
-                                        : whole_sequence(preds.seq);
-
-    // The trace window set is invariant across all refinement iterations:
-    // compute it once and let every compliance check stream against it.
-    ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
-    compliance_checker.set_threads(config_.threads);
-
-    // The timeout budgets the CEGIS search: the deadline starts after
-    // segmentation and P_l construction, exactly as the streaming path starts
-    // it after its ingest pass, so both paths give the search the same budget
-    // on the same trace.
-    const Deadline deadline = config_.timeout_seconds > 0
-                                  ? Deadline::after_seconds(config_.timeout_seconds)
-                                  : Deadline::never();
-    return run_search(std::move(preds), sequence_length, std::move(segments),
-                      compliance_checker, schema, deadline, total);
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+  return guarded_learn(config_, [&](const Stopwatch& total) {
+    return search_sequence(std::move(preds), schema, 0.0, total);
+  });
 }
 
 LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
-    // One pass: every pulled id goes simultaneously into the window segmenter
-    // and the compliance window builder, so P_l and the segment set come from
-    // the same stream the abstraction interns its predicates on. The full id
-    // sequence is retained only when a downstream consumer needs it.
-    const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented;
-    const Stopwatch pass_watch;
-    // Non-segmented runs take their single segment from the retained sequence;
-    // feeding the segmenter would only burn CPU and memory on a discarded set.
-    std::optional<StreamingSegmenter> segmenter;
-    if (config_.segmented) segmenter.emplace(config_.window);
-    ComplianceWindowBuilder window_builder(config_.compliance_length);
-    std::vector<PredId> seq;
-    std::size_t sequence_length = 0;
-    {
-      T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
-      while (const auto id = stream.next()) {
-        if (segmenter) segmenter->push(*id);
-        window_builder.push(*id);
-        if (keep_sequence) seq.push_back(*id);
-        ++sequence_length;
-      }
-      pass_span.arg("steps", sequence_length);
-    }
-    PredicateSequence preds = stream.take_preds();
-    preds.seq = std::move(seq);
-    std::vector<Segment> segments =
-        segmenter ? segmenter->take() : whole_sequence(preds.seq);
-    ComplianceChecker compliance_checker = window_builder.finish();
-    compliance_checker.set_threads(config_.threads);
-    const double pass_seconds = pass_watch.elapsed_seconds();
-
-    // The timeout budgets the CEGIS search, starting after ingest — matching
-    // learn_from_sequence, whose deadline starts after segmentation and P_l
-    // construction — so both paths give the search the same budget.
-    const Deadline deadline = config_.timeout_seconds > 0
-                                  ? Deadline::after_seconds(config_.timeout_seconds)
-                                  : Deadline::never();
-
-    LearnResult result = run_search(std::move(preds), sequence_length, std::move(segments),
-                                    compliance_checker, stream.schema(), deadline, total);
-    result.stats.abstraction_seconds = pass_seconds;
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
-  }
+  return guarded_learn(config_,
+                       [&](const Stopwatch& total) { return search_stream(stream, total); });
 }
 
 LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                             const std::string& task_filter) const {
-  if (config_.threads <= 1) {
-    const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-    try {
+  return guarded_learn(config_, [&](const Stopwatch& total) {
+    if (config_.threads <= 1) {
       LineReader lines(path);
       FtracePredStream stream(lines, task_filter);
-      return learn_from_stream(stream);
-    } catch (const StatusError& e) {
-      return failure_result(e.status());
-    } catch (const std::bad_alloc&) {
-      return failure_result(Status::ResourceExhausted("allocation failed during learn"));
+      return search_stream(stream, total);
     }
-  }
-
-  const ScopedMemoryLimit mem_limit(config_.max_memory_bytes);
-  const Stopwatch total;
-  try {
     const Stopwatch pass_watch;
     par::ShardedIngestOptions options;
     options.window = config_.window;
@@ -214,12 +142,10 @@ LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
     options.segmented = config_.segmented;
     options.keep_sequence = config_.require_trace_acceptance || !config_.segmented;
     options.task_filter = task_filter;
-    // The ingest gets its own full-timeout deadline so a pathological scan
-    // or merge cannot hang past the configured budget; the search deadline
-    // below still starts after ingest, matching the other entry points.
-    options.deadline = config_.timeout_seconds > 0
-                           ? Deadline::after_seconds(config_.timeout_seconds)
-                           : Deadline::never();
+    // The ingest gets its own full-timeout budget so a pathological scan or
+    // merge cannot hang past the configured budget; the search budget still
+    // starts after ingest, matching the other entry points.
+    options.budget = phase_budget(config_);
     par::ShardedIngestResult ingest = par::sharded_ftrace_ingest_file(path, options);
     log_debug() << "learner: sharded ingest over " << ingest.shards_used << " shard(s), "
                 << ingest.sequence_length << " steps";
@@ -227,43 +153,83 @@ LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
     std::vector<Segment> segments = config_.segmented
                                         ? std::move(ingest.segments)
                                         : whole_sequence(ingest.preds.seq);
-    ComplianceChecker compliance_checker = std::move(ingest.compliance);
-    compliance_checker.set_threads(config_.threads);
     const double pass_seconds = pass_watch.elapsed_seconds();
+    return run_search(std::move(ingest.preds), ingest.sequence_length, std::move(segments),
+                      std::move(ingest.compliance), ingest.schema, pass_seconds, total);
+  });
+}
 
-    const Deadline deadline = config_.timeout_seconds > 0
-                                  ? Deadline::after_seconds(config_.timeout_seconds)
-                                  : Deadline::never();
-    LearnResult result =
-        run_search(std::move(ingest.preds), ingest.sequence_length, std::move(segments),
-                   compliance_checker, ingest.schema, deadline, total);
-    result.stats.abstraction_seconds = pass_seconds;
-    result.stats.total_seconds = total.elapsed_seconds();
-    return result;
-  } catch (const StatusError& e) {
-    return failure_result(e.status());
-  } catch (const std::bad_alloc&) {
-    return failure_result(Status::ResourceExhausted("allocation failed during learn"));
+LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema,
+                                          double abstraction_seconds,
+                                          const Stopwatch& total) const {
+  const std::size_t sequence_length = preds.length();
+  std::vector<Segment> segments = config_.segmented
+                                      ? segment_sequence(preds.seq, config_.window)
+                                      : whole_sequence(preds.seq);
+  // The trace window set is invariant across all refinement iterations:
+  // compute it once and let every compliance check stream against it.
+  ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
+  return run_search(std::move(preds), sequence_length, std::move(segments),
+                    std::move(compliance_checker), schema, abstraction_seconds, total);
+}
+
+LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& total) const {
+  // One pass: every pulled id goes simultaneously into the window segmenter
+  // and the compliance window builder, so P_l and the segment set come from
+  // the same stream the abstraction interns its predicates on. The full id
+  // sequence is retained only when a downstream consumer needs it.
+  const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented;
+  const Stopwatch pass_watch;
+  // Non-segmented runs take their single segment from the retained sequence;
+  // feeding the segmenter would only burn CPU and memory on a discarded set.
+  std::optional<StreamingSegmenter> segmenter;
+  if (config_.segmented) segmenter.emplace(config_.window);
+  ComplianceWindowBuilder window_builder(config_.compliance_length);
+  std::vector<PredId> seq;
+  std::size_t sequence_length = 0;
+  {
+    T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
+    while (const auto id = stream.next()) {
+      if (segmenter) segmenter->push(*id);
+      window_builder.push(*id);
+      if (keep_sequence) seq.push_back(*id);
+      ++sequence_length;
+    }
+    pass_span.arg("steps", sequence_length);
   }
+  PredicateSequence preds = stream.take_preds();
+  preds.seq = std::move(seq);
+  std::vector<Segment> segments = segmenter ? segmenter->take() : whole_sequence(preds.seq);
+  ComplianceChecker compliance_checker = window_builder.finish();
+  const double pass_seconds = pass_watch.elapsed_seconds();
+  return run_search(std::move(preds), sequence_length, std::move(segments),
+                    std::move(compliance_checker), stream.schema(), pass_seconds, total);
 }
 
 LearnResult ModelLearner::run_search(PredicateSequence preds, std::size_t sequence_length,
                                      std::vector<Segment> segments,
-                                     const ComplianceChecker& compliance_checker,
-                                     const Schema& schema, const Deadline& deadline,
+                                     ComplianceChecker compliance_checker,
+                                     const Schema& schema, double ingest_seconds,
                                      const Stopwatch& total) const {
+  compliance_checker.set_threads(config_.threads);
+  // The timeout budgets the CEGIS search: its clock starts here, after
+  // ingest, segmentation and P_l construction, so every entry point gives
+  // the search the same budget on the same trace.
+  const RunBudget budget = phase_budget(config_);
   // The search is the phase worth watching: arm the progress counters (when
   // enabled) against this run's deadline and publish the final counters into
   // the metrics registry on every exit path.
-  if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(deadline);
+  if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(budget.deadline());
   T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size(), "portfolio",
                  config_.portfolio);
   LearnResult result =
       config_.portfolio > 1
           ? run_portfolio(preds, sequence_length, segments, compliance_checker, schema,
-                          deadline, total)
+                          budget, total)
           : run_search_single(std::move(preds), sequence_length, segments,
-                              compliance_checker, schema, deadline, total);
+                              compliance_checker, schema, budget, total);
+  result.stats.abstraction_seconds = ingest_seconds;
+  result.stats.total_seconds = total.elapsed_seconds();
   run_span.arg("success", result.success);
   run_span.arg("states", result.states);
   publish_learn_metrics(result);
@@ -274,7 +240,7 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
                                         std::size_t sequence_length,
                                         const std::vector<Segment>& segments,
                                         const ComplianceChecker& compliance_checker,
-                                        const Schema& schema, const Deadline& deadline,
+                                        const Schema& schema, const RunBudget& budget,
                                         const Stopwatch& total) const {
   const std::vector<PortfolioVariant> variants =
       portfolio_configs(config_, config_.portfolio);
@@ -284,34 +250,22 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
   // read-only artefacts with its own solver configuration. (Each lane still
   // copies `preds` — run_search_single materialises its own result from it
   // — a bounded K * O(|P|) cost only paid when the sequence is retained.)
-  // The first genuine verdict wins and raises the stop flag; Solver::solve
-  // polls it at every conflict, so the losers unwind quickly.
+  // The first genuine verdict wins and raises the race flag; every lane's
+  // budget reads it next to the caller's stop flag and the clock, and
+  // Solver::solve polls the flags at every conflict, so the losers unwind
+  // quickly — and a caller's cancellation reaches every lane directly.
   std::atomic<bool> race_stop{false};
+  const RunBudget lane_budget = budget.with_race(&race_stop);
   std::atomic<int> winner{-1};
   std::vector<LearnResult> results(k);
   std::vector<double> walls(k, 0.0);
 
   par::ThreadPool& pool = par::ThreadPool::global();
   pool.ensure_size(std::min(k, par::ThreadPool::kMaxWorkers));
-  // The caller's cancellation flag is relayed into the race at three
-  // points: before the lanes launch, at each lane's start, and from the
-  // wait loop below — so cancellation works even when the relaying thread
-  // is starved on a loaded machine.
-  const std::atomic<bool>* outer_stop = config_.stop;
-  const auto relay_outer_stop = [outer_stop, &race_stop] {
-    // order: relaxed load / release store — both flags are pure signals; the
-    // lanes' results reach this thread through the TaskGroup join, and the
-    // release store mirrors the winner path so the two raise sites match.
-    if (outer_stop != nullptr && outer_stop->load(std::memory_order_relaxed)) {
-      race_stop.store(true, std::memory_order_release);
-    }
-  };
-  relay_outer_stop();
   std::vector<Status> lane_errors(k);  // non-ok when the lane body threw
   par::TaskGroup group(pool);
   for (std::size_t i = 0; i < k; ++i) {
     group.run([&, i] {
-      relay_outer_stop();
       const Stopwatch wall;
       // Lane fault isolation: an error unwinding one lane (including an
       // injected one) records a per-lane Status and leaves the race — it
@@ -326,11 +280,9 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
         // pool workers.
         const obs::TrackScope lane_track("lane " + variants[i].name);
         T2M_SPAN_SCOPE(lane_span, "portfolio.lane", "lane", variants[i].name);
-        LearnerConfig config = variants[i].config;
-        config.stop = &race_stop;
-        const ModelLearner worker(config);
+        const ModelLearner worker(variants[i].config);
         LearnResult r = worker.run_search_single(preds, sequence_length, segments,
-                                                 compliance_checker, schema, deadline,
+                                                 compliance_checker, schema, lane_budget,
                                                  total);
         // A verdict was reached only if nothing cut the lane short; a
         // timed-out, budget-overflowed or memory-starved lane must not be
@@ -366,21 +318,7 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
       walls[i] = wall.elapsed_seconds();
     });
   }
-  // Wait while relaying the caller's cancellation into the race: the lanes
-  // poll race_stop (through their solvers), so raising it here preserves
-  // the LearnerConfig::stop contract for portfolio runs too.
-  //
-  // Deliberately no pool.help_one() here (the thread-safety audit flagged
-  // it): stealing a lane would capture this coordinator for the lane's whole
-  // CEGIS run, during which relay_outer_stop() never fires and the caller's
-  // cancellation latency becomes unbounded. The pool was grown to min(k,
-  // kMaxWorkers) workers above, so queued lanes drain without our help; a
-  // 1 ms poll keeps the relay responsive at negligible cost.
-  while (!group.done()) {
-    relay_outer_stop();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  group.wait();  // synchronise and surface any lane exception
+  group.wait();  // surfaces any lane exception
 
   // No genuine verdict (outer stop or deadline cancelled every lane):
   // report the first healthy lane that at least ran to its own cutoff
@@ -439,7 +377,6 @@ LearnResult ModelLearner::run_portfolio(const PredicateSequence& preds,
     if (i != won) result.stats += results[i].stats;
   }
   result.stats.portfolio = std::move(entries);
-  result.stats.total_seconds = total.elapsed_seconds();
   if (have_verdict) {
     log_info() << "learner: portfolio winner '" << variants[won].name << "' of " << k
                << " configurations";
@@ -454,7 +391,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
                                             std::size_t sequence_length,
                                             const std::vector<Segment>& segments,
                                             const ComplianceChecker& compliance_checker,
-                                            const Schema& schema, const Deadline& deadline,
+                                            const Schema& schema, const RunBudget& budget,
                                             const Stopwatch& total) const {
   LearnResult result;
   result.schema = schema;
@@ -466,11 +403,6 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
   // Trace acceptance needs the materialised sequence; the streaming path
   // omits it exactly when the configuration never consults it.
   const bool check_acceptance = config_.require_trace_acceptance && !preds.seq.empty();
-
-  const auto stopped = [this] {
-    // order: relaxed — pure cancellation signal (see docs/concurrency.md).
-    return config_.stop != nullptr && config_.stop->load(std::memory_order_relaxed);
-  };
 
   // Forbidden sequences accumulate across N: they are facts about P. Their
   // chain enumeration is N-independent, so one cache serves every CSP this
@@ -526,6 +458,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     options.threads = config_.threads;
     options.compress_forbidden = config_.compress_forbidden;
     options.preprocess = config_.preprocess;
+    options.budget = budget;
     if (config_.max_clauses > 0) options.max_clauses = config_.max_clauses;
     options.state_capacity =
         config_.persistent_solver
@@ -536,7 +469,6 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
       csp = std::make_unique<AutomatonCsp>(segments, preds.vocab.size(), n, options);
     }
     csp->set_chain_cache(&chain_cache);
-    csp->set_stop_flag(config_.stop);
     // Forbidden words before reseeding: the import needs the new CSP's
     // equality/star variable layout in place to rename against.
     for (const auto& word : forbidden) csp->add_forbidden_sequence(word);
@@ -560,16 +492,13 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     return std::move(result);
   };
   // Why the search stopped between or inside solver calls without a verdict:
-  // the stop flag takes precedence over the clock.
-  const auto interrupted = [&] {
-    return stopped() ? Status(ErrorCode::cancelled, "the learn was cancelled")
-                     : Status::DeadlineExceeded("the learn deadline expired");
-  };
+  // the budget's reason, the stop flags in preference to the clock.
+  constexpr const char* kSearchSite = "the search";
 
-  // Deadline expiry and allocation pressure anywhere inside the loop —
-  // clause emission, preprocessing, the compliance DFS, an arena grow —
-  // surface as structured errors; both become verdicts (with salvage)
-  // rather than unwinding out of the learn. Other taxonomies (io, parse,
+  // A budget stop or allocation pressure anywhere inside the loop — clause
+  // emission, the compliance DFS, an arena grow — surfaces as a structured
+  // error; both become verdicts (with salvage unless cancelled) rather than
+  // unwinding out of the learn. Other taxonomies (io, parse,
   // internal) are not this loop's to own and propagate to the entry points.
   try {
   for (std::size_t n = config_.initial_states; n <= config_.max_states; ++n) {
@@ -588,14 +517,14 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
     bool next_n = false;
     std::size_t acceptance_blocks = 0;
     while (!next_n) {
-      if (deadline.expired() || stopped()) return finish(interrupted());
+      if (budget.should_stop()) return finish(budget.stop_status(kSearchSite));
       ++result.stats.sat_calls;
       obs::Progress::global().add_sat_calls(1);
       sat::SolveResult sat_result;
       {
         T2M_SPAN_SCOPE(solve_span, "learn.solve", "n", n, "call",
                        result.stats.sat_calls);
-        sat_result = csp->solve(deadline);
+        sat_result = csp->solve();
         solve_span.arg("result", sat_result == sat::SolveResult::Sat     ? "sat"
                                  : sat_result == sat::SolveResult::Unsat ? "unsat"
                                                                          : "unknown");
@@ -606,7 +535,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
         return finish(csp->overflowed()
                           ? Status(ErrorCode::clause_budget,
                                    "the CSP encoding overran its clause budget")
-                          : interrupted());
+                          : budget.stop_status(kSearchSite));
       }
       if (sat_result == sat::SolveResult::Unsat) {
         if (config_.core_driven_stop && csp->unsat_for_all_states()) {
@@ -625,7 +554,7 @@ LearnResult ModelLearner::run_search_single(PredicateSequence preds,
       }
       // Candidate model: compliance check (lines 38-48).
       Nfa candidate = csp->extract_model();
-      const ComplianceResult compliance = compliance_checker.check(candidate, deadline);
+      const ComplianceResult compliance = compliance_checker.check(candidate, budget);
       bool acceptance_blocked = false;
       if (compliance.compliant && check_acceptance &&
           acceptance_blocks < config_.max_acceptance_blocks) {

@@ -85,8 +85,9 @@ struct LearnerConfig {
   /// Clause budget per CSP; 0 keeps the CspOptions default. Overrunning it
   /// ends the learn with ErrorCode::clause_budget.
   std::size_t max_clauses = 0;
-  /// Cooperative cancellation (non-owning; may be null): polled between
-  /// solver calls and inside Solver::solve at every conflict. A learn
+  /// Cooperative cancellation (non-owning; may be null): part of every
+  /// RunBudget the run polls — between solver calls, at every conflict and
+  /// inside ingest, clause emission and the compliance check. A learn
   /// aborted this way returns with ErrorCode::cancelled.
   const std::atomic<bool>* stop = nullptr;
   /// Global memory cap in bytes applied (via MemoryAccountant) for the
@@ -220,15 +221,22 @@ public:
   const LearnerConfig& config() const { return config_; }
 
 private:
-  /// The iterative SAT search + compliance refinement shared by the
-  /// in-memory and streaming entry points: dispatches to the portfolio
-  /// driver when config().portfolio > 1, else runs one configuration.
+  /// Entry-point bodies below the guarded shell (learner.cpp): abstraction
+  /// output or a one-pass stream into the segment list and P_l, then the
+  /// search. `total` is the run's stopwatch.
+  LearnResult search_sequence(PredicateSequence preds, const Schema& schema,
+                              double abstraction_seconds, const Stopwatch& total) const;
+  LearnResult search_stream(PredStream& stream, const Stopwatch& total) const;
+
+  /// The iterative SAT search + compliance refinement every entry point ends
+  /// in: starts the search budget, then dispatches to the portfolio driver
+  /// when config().portfolio > 1, else runs one configuration.
   /// `sequence_length` is |P|; preds.seq may be empty in streaming mode
-  /// (acceptance is then skipped).
+  /// (acceptance is then skipped). `ingest_seconds` is reported as
+  /// LearnStats::abstraction_seconds.
   LearnResult run_search(PredicateSequence preds, std::size_t sequence_length,
-                         std::vector<Segment> segments,
-                         const ComplianceChecker& compliance_checker,
-                         const Schema& schema, const Deadline& deadline,
+                         std::vector<Segment> segments, ComplianceChecker compliance_checker,
+                         const Schema& schema, double ingest_seconds,
                          const Stopwatch& total) const;
 
   /// One configuration's CEGIS loop (the pre-portfolio run_search body).
@@ -237,16 +245,16 @@ private:
   LearnResult run_search_single(PredicateSequence preds, std::size_t sequence_length,
                                 const std::vector<Segment>& segments,
                                 const ComplianceChecker& compliance_checker,
-                                const Schema& schema, const Deadline& deadline,
+                                const Schema& schema, const RunBudget& budget,
                                 const Stopwatch& total) const;
 
   /// Races portfolio_configs(config, portfolio) over the shared artefacts:
-  /// first finished verdict wins, the rest are cancelled through an atomic
-  /// stop flag threaded into every worker's solver.
+  /// first finished verdict wins, the rest are cancelled through a race flag
+  /// every lane's budget reads next to the caller's.
   LearnResult run_portfolio(const PredicateSequence& preds, std::size_t sequence_length,
                             const std::vector<Segment>& segments,
                             const ComplianceChecker& compliance_checker,
-                            const Schema& schema, const Deadline& deadline,
+                            const Schema& schema, const RunBudget& budget,
                             const Stopwatch& total) const;
 
   LearnerConfig config_;

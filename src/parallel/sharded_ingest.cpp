@@ -40,11 +40,10 @@ struct ShardScan {
   std::vector<std::uint32_t> seq;
 };
 
-/// The deadline poll for the scan and merge loops: a clock read every
-/// 8192nd call, throwing the structured timeout on expiry.
-DeadlinePoll ingest_poll(const Deadline& deadline) {
-  return DeadlinePoll(deadline, 8192, "trace ingest exceeded the learn deadline");
-}
+/// The budget poll for the scan and merge loops, once per line or window
+/// with a clock read every 8192nd; a stop throws the structured verdict.
+constexpr std::uint64_t kIngestPollInterval = 8192;
+constexpr const char* kIngestSite = "trace ingest";
 
 /// Cuts `content` at line boundaries into up to `shards` non-empty regions.
 std::vector<std::string_view> split_regions(std::string_view content,
@@ -91,9 +90,9 @@ void scan_shard(std::string_view region, bool fresh_start,
 
   std::string task, event;
   std::string_view line;
-  DeadlinePoll poll = ingest_poll(opt.deadline);
+  BudgetPoll poll(opt.budget, kIngestPollInterval);
   while (lines.next(line)) {
-    poll();
+    poll.check(kIngestSite);
     if (!parse_ftrace_line(line, task, event)) continue;
     if (!opt.task_filter.empty() && task != opt.task_filter) continue;
     ++out.observations;
@@ -190,9 +189,9 @@ ShardedIngestResult sequential_ingest(std::string_view content,
   if (opt.segmented) segmenter.emplace(opt.window);
   ComplianceWindowBuilder builder(opt.compliance_length);
   std::vector<PredId> seq;
-  DeadlinePoll poll = ingest_poll(opt.deadline);
+  BudgetPoll poll(opt.budget, kIngestPollInterval);
   while (const auto id = stream.next()) {
-    poll();
+    poll.check(kIngestSite);
     if (segmenter) segmenter->push(*id);
     builder.push(*id);
     if (opt.keep_sequence) seq.push_back(*id);
@@ -322,11 +321,11 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
                                  const auto member) -> std::vector<std::vector<PredId>> {
     OrderedWindowMerge merged;
     std::vector<PredId> tail;
-    DeadlinePoll poll = ingest_poll(options.deadline);
+    BudgetPoll poll(options.budget, kIngestPollInterval);
     for (std::size_t s = 0; s < scans.size(); ++s) {
       emit_cross_windows(tail, slice_front(lead_global[s], L > 0 ? L - 1 : 0), L, merged);
       for (const auto& local_window : scans[s].*member) {
-        poll();
+        poll.check(kIngestSite);
         std::vector<PredId> window;
         window.reserve(local_window.size());
         for (const std::uint32_t lid : local_window) window.push_back(remap[s][lid]);

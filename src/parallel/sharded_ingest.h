@@ -30,11 +30,12 @@ struct ShardedIngestOptions {
   bool keep_sequence = false;
   /// ftrace task filter (empty = keep all), as FtracePredStream.
   std::string task_filter;
-  /// Cooperative wall-clock bound: shard scans poll it every few thousand
-  /// lines and the merge polls it per shard; expiry throws
-  /// StatusError(deadline_exceeded) from sharded_ftrace_ingest (the worker
-  /// throw propagates through TaskGroup::wait). Defaults to never expiring.
-  Deadline deadline;
+  /// Cooperative limits: shard scans poll it per line and the merge per
+  /// window (the clock every few thousand); a stop throws
+  /// StatusError(deadline_exceeded or cancelled) from sharded_ftrace_ingest
+  /// (the worker throw propagates through TaskGroup::wait). Defaults to
+  /// never stopping.
+  RunBudget budget;
 };
 
 /// The one-pass ingest artefacts the CEGIS search runs on. Byte-identical to

@@ -104,7 +104,7 @@ class TaskGroup {
   void run(std::function<void()> fn);
   void wait();
   /// True when no task is pending — for callers that interleave waiting
-  /// with other duties (e.g. propagating an outer cancellation flag); pair
+  /// with other duties (e.g. the encoder's pipelined splice); pair
   /// with help_one() and finish with wait() for exception delivery.
   // order: acquire pairs with the acq_rel fetch_sub in the task wrapper, so
   // done() == true implies the finished tasks' writes (results, walls) are

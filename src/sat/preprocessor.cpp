@@ -28,7 +28,7 @@ bool Solver::preprocess(const PreprocessOptions& opts) {
 // --- Preprocessor ---------------------------------------------------------
 
 Preprocessor::Preprocessor(Solver& solver, const PreprocessOptions& opts)
-    : s_(solver), opts_(opts) {}
+    : s_(solver), opts_(opts), budget_poll_(solver.budget(), 256) {}
 
 void Preprocessor::log_derived(const Clause& lits) {
   if (s_.plog_ != nullptr) s_.plog_->add(lits);
@@ -138,7 +138,7 @@ bool Preprocessor::subsume_and_strengthen() {
   bool changed = false;
   std::size_t head = 0;
   while (head < queue_.size() && work_ < opts_.work_budget && !unsat_) {
-    poll_deadline();
+    if (budget_poll_()) work_ = opts_.work_budget;
     const std::uint32_t idx = queue_[head++];
     queued_[idx] = 0;
     if (clauses_[idx].deleted) continue;
@@ -323,7 +323,7 @@ bool Preprocessor::eliminate_variables() {
   std::sort(cands.begin(), cands.end());
   bool changed = false;
   for (const auto& [occs, v] : cands) {
-    poll_deadline();
+    if (budget_poll_()) work_ = opts_.work_budget;
     if (work_ >= opts_.work_budget || unsat_) break;
     if (try_eliminate(v)) changed = true;
   }

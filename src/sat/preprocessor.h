@@ -31,13 +31,9 @@ struct PreprocessOptions {
   /// "never more clauses than before" rule).
   std::size_t grow = 0;
   /// Upper bound on subset-check work across the whole run; preprocessing
-  /// stops early (soundly) when exhausted.
+  /// stops early (soundly) when exhausted — and likewise once the solver's
+  /// RunBudget (Solver::set_budget) says stop.
   std::uint64_t work_budget = 50'000'000;
-  /// Cooperative wall-clock bound: when it expires mid-run the passes stop
-  /// early through the same sound path as work-budget exhaustion (the
-  /// database stays equivalence-preserving, just less reduced). Defaults to
-  /// never expiring.
-  Deadline deadline;
 };
 
 /// SatELite-style CNF preprocessor operating on a Solver's root-level
@@ -108,19 +104,13 @@ private:
   std::vector<std::vector<std::uint32_t>> occur_;  // by literal code
   std::vector<std::uint32_t> queue_;               // subsumption worklist
   std::vector<char> queued_;
-  /// Amortised deadline poll: reads the clock every 256th call and converts
-  /// an expired deadline into work-budget exhaustion, the existing sound
-  /// early-stop every pass already honours.
-  void poll_deadline() {
-    // Polls on the first call (deterministic for already-expired deadlines)
-    // and every 256th after that.
-    if ((deadline_ticks_++ % 256u) != 0 || !opts_.deadline.is_finite()) return;
-    if (opts_.deadline.expired()) work_ = opts_.work_budget;
-  }
+  /// Polls the solver's budget (the clock every 256th call); a stop is
+  /// turned into work-budget exhaustion, the sound early stop every pass
+  /// already honours.
+  BudgetPoll budget_poll_;
 
   std::vector<char> var_gone_;  // eliminated during this run
   std::vector<Solver::ElimRecord> stash_;
-  std::uint64_t deadline_ticks_ = 0;
   std::uint64_t work_ = 0;
   bool unsat_ = false;
   std::uint64_t subsumed_ = 0;

@@ -770,10 +770,10 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
     if (plog_ != nullptr) plog_->conclude_unsat({});
     return SolveResult::Unsat;
   }
-  // order: relaxed — the stop flag is a pure signal with no payload: the
-  // caller that raised it synchronises with this solver's results through
-  // the TaskGroup join, never through the flag itself (docs/concurrency.md).
-  if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
+  // One poll object for the whole epoch: the flags are read at entry and at
+  // every conflict, the clock at entry and every 256th conflict.
+  BudgetPoll poll(budget_, 256);
+  if (poll()) {
     if (plog_ != nullptr) plog_->conclude_unknown();
     return SolveResult::Unknown;
   }
@@ -848,14 +848,9 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
       }
       decay_activities();
 
-      // The stop flag is a relaxed load, cheap enough to poll every conflict
-      // — cancellation latency is what makes a portfolio race worth running.
-      // order: relaxed — pure signal; see the solve-entry check above.
-      if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
-        if (plog_ != nullptr) plog_->conclude_unknown();
-        return SolveResult::Unknown;
-      }
-      if ((conflicts_total & 255) == 0 && deadline_.expired()) {
+      // The flags are relaxed loads, cheap enough to poll every conflict —
+      // cancellation latency is what makes a portfolio race worth running.
+      if (poll()) {
         if (plog_ != nullptr) plog_->conclude_unknown();
         return SolveResult::Unknown;
       }

@@ -1,7 +1,6 @@
 #ifndef T2M_SAT_SOLVER_H
 #define T2M_SAT_SOLVER_H
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,8 +18,8 @@ class Preprocessor;
 class ProofLog;
 struct PreprocessOptions;
 
-/// Outcome of a solve() call. Unknown is returned when the deadline expired
-/// or the stop flag was raised before a decision was reached.
+/// Outcome of a solve() call. Unknown is returned when the budget (see
+/// set_budget) said stop before a decision was reached.
 enum class SolveResult : std::uint8_t { Sat, Unsat, Unknown };
 
 /// Runtime statistics, exposed for the bench harnesses.
@@ -176,14 +175,13 @@ public:
   /// clauses remain sound and keep their pruning power.
   void reset_branching_heuristics();
 
-  /// Cooperative wall-clock limit; checked between conflicts.
-  void set_deadline(Deadline deadline) { deadline_ = deadline; }
-
-  /// Cooperative cancellation: a non-owning flag polled at every conflict
-  /// (and at solve() entry). When it reads true, solve() returns Unknown at
-  /// the next poll, leaving the solver reusable — the portfolio driver's
-  /// losing workers are cancelled this way. nullptr disables.
-  void set_stop_flag(const std::atomic<bool>* stop) { stop_ = stop; }
+  /// Cooperative limits: solve() polls the budget's flags at entry and at
+  /// every conflict, its clock every 256th conflict, and returns Unknown
+  /// once it says stop, leaving the solver reusable — the portfolio driver's
+  /// losing workers are cancelled this way. preprocess() shortens its passes
+  /// under the same budget.
+  void set_budget(const RunBudget& budget) { budget_ = budget; }
+  const RunBudget& budget() const { return budget_; }
 
   /// Applies search-shape knobs (see SolverConfig). Call before encoding.
   void set_config(const SolverConfig& config);
@@ -326,11 +324,7 @@ private:
   std::vector<std::uint32_t> lbd_stamp_;  // per-level stamp for LBD counting
   std::uint32_t lbd_stamp_gen_ = 0;
 
-  Deadline deadline_;
-  /// Cooperative cancellation: polled with relaxed loads at solve entry and
-  /// every conflict. The flag carries no data — result visibility comes from
-  /// the joining structure (TaskGroup) on the raising side.
-  const std::atomic<bool>* stop_ = nullptr;
+  RunBudget budget_;
   SolverConfig config_;
   Rng polarity_rng_;
 

@@ -179,11 +179,10 @@ TEST(ConcurrencyStress, HeartbeatStartStopChurn) {
 }
 
 TEST(ConcurrencyStress, OuterStopCancelsPortfolioMidRun) {
-  // Regression for the coordinator stall the thread-safety audit fixed: the
-  // portfolio wait loop used to steal lane tasks via help_one(), so a stolen
-  // lane captured the coordinator and the caller's stop flag went unrelayed
-  // for the lane's whole runtime. The relay loop must now observe a stop
-  // raised mid-run promptly regardless of lane durations.
+  // A stop raised mid-run must end a portfolio race promptly regardless of
+  // lane durations: every lane's budget reads the caller's flag directly
+  // (next to the race flag), so no coordinator has to relay it — even when
+  // the coordinator itself runs a lane while it waits.
   std::atomic<bool> stop{false};
   LearnerConfig config;
   config.stop = &stop;
@@ -199,7 +198,8 @@ TEST(ConcurrencyStress, OuterStopCancelsPortfolioMidRun) {
   const double seconds = wall.elapsed_seconds();
   raiser.join();
   // Either the race finished before the flag rose (fast machine) or it was
-  // cancelled; a stalled relay would blow far past this generous bound.
+  // cancelled; a lane deaf to the caller's flag would blow far past this
+  // generous bound.
   EXPECT_TRUE(result.success || result.status.code() == ErrorCode::cancelled);
   EXPECT_LT(seconds, 30.0);
 }

@@ -319,10 +319,46 @@ TEST(DeadlineFaults, ComplianceCheckHonoursExpiredDeadline) {
   const std::vector<PredId> seq = {0, 1, 0, 1};
   const ComplianceChecker checker(seq, 2);
   const Deadline expired = Deadline::after_seconds(-1.0);
-  EXPECT_EQ(thrown_code([&] { checker.check(model, expired); }),
+  EXPECT_EQ(thrown_code([&] { checker.check(model, RunBudget(expired)); }),
             ErrorCode::deadline_exceeded);
-  // The same checker without a deadline still completes.
+  // A raised stop flag ends the check as a cancellation, in preference to
+  // the clock.
+  std::atomic<bool> stop{true};
+  EXPECT_EQ(thrown_code([&] { checker.check(model, RunBudget(Deadline::never(), &stop)); }),
+            ErrorCode::cancelled);
+  EXPECT_EQ(thrown_code([&] { checker.check(model, RunBudget(expired, &stop)); }),
+            ErrorCode::cancelled);
+  // The same checker without a budget still completes.
   EXPECT_TRUE(checker.check(model).compliant);
+}
+
+TEST(DeadlineFaults, ClauseEmissionHonoursTheLearnDeadline) {
+  const FailpointGuard guard;
+  // The learner hands its budget to clause emission (CspOptions::budget): a
+  // learn whose deadline has passed before its first CSP is built stops
+  // inside emission, with emission's own verdict, not at the check between
+  // solver calls.
+  const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
+  LearnerConfig config;
+  config.segmented = false;
+  config.timeout_seconds = 1e-9;
+  const LearnResult r = ModelLearner(config).learn(t);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.status.code(), ErrorCode::deadline_exceeded);
+  EXPECT_EQ(r.status.message(), "clause emission exceeded the learn deadline");
+}
+
+TEST(DeadlineFaults, ClauseEmissionHonoursARaisedStopFlag) {
+  const FailpointGuard guard;
+  const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
+  std::atomic<bool> stop{true};
+  LearnerConfig config;
+  config.segmented = false;
+  config.stop = &stop;
+  const LearnResult r = ModelLearner(config).learn(t);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.status.code(), ErrorCode::cancelled);
+  EXPECT_EQ(r.status.message(), "clause emission was cancelled");
 }
 
 TEST(DeadlineFaults, LearnWithExpiredDeadlineReturnsTimeoutVerdict) {

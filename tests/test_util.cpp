@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <sstream>
+#include <vector>
 
+#include "src/base/status.h"
 #include "src/util/cli.h"
 #include "src/util/csv.h"
 #include "src/util/rng.h"
@@ -71,12 +75,80 @@ TEST(Rng, ChanceExtremes) {
 TEST(Deadline, NeverAndFinite) {
   const Deadline never = Deadline::never();
   EXPECT_FALSE(never.expired());
-  EXPECT_FALSE(never.is_finite());
+  EXPECT_TRUE(std::isinf(never.remaining_seconds()));
   const Deadline past = Deadline::after_seconds(-1.0);
   EXPECT_TRUE(past.expired());
   const Deadline future = Deadline::after_seconds(60.0);
   EXPECT_FALSE(future.expired());
   EXPECT_GT(future.remaining_seconds(), 0.0);
+}
+
+TEST(RunBudget, DefaultNeverStops) {
+  const RunBudget budget;
+  EXPECT_FALSE(budget.cancelled());
+  EXPECT_FALSE(budget.should_stop());
+}
+
+TEST(RunBudget, ReasonPrefersCancelledOverDeadline) {
+  std::atomic<bool> stop{true};
+  const RunBudget both(Deadline::after_seconds(-1.0), &stop);
+  EXPECT_TRUE(both.should_stop());
+  EXPECT_EQ(both.reason(), ErrorCode::cancelled);
+  EXPECT_EQ(both.stop_status("ingest").message(), "ingest was cancelled");
+  const RunBudget clock_only(Deadline::after_seconds(-1.0));
+  EXPECT_TRUE(clock_only.should_stop());
+  EXPECT_EQ(clock_only.reason(), ErrorCode::deadline_exceeded);
+  EXPECT_EQ(clock_only.stop_status("ingest").message(), "ingest exceeded the learn deadline");
+}
+
+TEST(RunBudget, LaneBudgetReadsBothFlags) {
+  std::atomic<bool> stop{false};
+  std::atomic<bool> race{false};
+  const RunBudget caller(Deadline::never(), &stop);
+  const RunBudget lane = caller.with_race(&race);
+  EXPECT_FALSE(lane.should_stop());
+  race.store(true);
+  EXPECT_TRUE(lane.should_stop());
+  EXPECT_FALSE(caller.should_stop());
+  race.store(false);
+  stop.store(true);
+  EXPECT_TRUE(lane.should_stop());
+  EXPECT_EQ(lane.reason(), ErrorCode::cancelled);
+}
+
+TEST(BudgetPoll, RaisedFlagIsSeenOnTheNextPoll) {
+  std::atomic<bool> stop{false};
+  const RunBudget budget(Deadline::never(), &stop);
+  BudgetPoll poll(budget, 1024);
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(poll());
+  stop.store(true);
+  // Mid-interval: the flag is read on every call, not only on clock ticks.
+  EXPECT_TRUE(poll());
+  EXPECT_TRUE(poll());
+}
+
+TEST(BudgetPoll, ExpiredDeadlineIsSeenOnFirstPollThenOnIntervalTicks) {
+  const RunBudget budget(Deadline::after_seconds(-1.0));
+  BudgetPoll poll(budget, 4);
+  std::vector<bool> seen;
+  for (int i = 0; i < 9; ++i) seen.push_back(poll());
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, false, false, true, false, false, false,
+                                     true}));
+}
+
+TEST(BudgetPoll, CheckThrowsTheBudgetsVerdict) {
+  std::atomic<bool> stop{false};
+  const RunBudget budget(Deadline::never(), &stop);
+  BudgetPoll poll(budget, 64);
+  EXPECT_NO_THROW(poll.check("trace ingest"));
+  stop.store(true);
+  try {
+    poll.check("trace ingest");
+    FAIL() << "a raised flag must throw";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::cancelled);
+    EXPECT_EQ(e.status().message(), "trace ingest was cancelled");
+  }
 }
 
 TEST(Stopwatch, MonotoneElapsed) {
