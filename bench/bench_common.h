@@ -9,6 +9,7 @@
 
 #include "src/core/learner.h"
 #include "src/core/report.h"
+#include "src/obs/json.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/basic/integrator.h"
 #include "src/sim/rtlinux/workloads.h"
@@ -118,11 +119,9 @@ struct BenchRecord {
   /// benchmarks whose wall time is advisory, e.g. thread-scaling entries).
   bool wall_exempt = false;
   std::size_t states = 0;
-  /// Full per-run statistics. The flat work-counter fields of the record
-  /// (sat_calls, sat_conflicts, ..., csp_grows — the bench_check contract)
-  /// and the nested "metrics" snapshot are both derived from it, via
-  /// report.h's write_bench_stats_fields / to_json, so the bench emitters
-  /// cannot drift from the stats serialization everything else uses.
+  /// Full per-run statistics, written once as the record's "metrics"
+  /// object via report.h's to_json, so the bench emitters cannot drift from
+  /// the stats serialization everything else uses.
   LearnStats stats;
   /// Structural fingerprint of the produced clause database
   /// (Solver::clause_fingerprint), machine-independent: bench_check fails on
@@ -159,18 +158,13 @@ public:
     os << "[\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const BenchRecord& r = records_[i];
-      os << "  {\"bench\": \"" << escape(r.bench) << "\""
-         << ", \"wall_seconds\": " << format_double(r.wall_seconds, 6)
+      os << "  {\"bench\": ";
+      obs::write_json_string(os, r.bench);
+      os << ", \"wall_seconds\": " << format_double(r.wall_seconds, 6)
          << ", \"success\": " << (r.success ? "true" : "false")
          << ", \"status\": \"" << error_code_name(r.status) << "\""
          << ", \"wall_exempt\": " << (r.wall_exempt ? "true" : "false")
-         << ", \"states\": " << r.states;
-      write_bench_stats_fields(os, r.stats);
-      // The full-stats snapshot stays the LAST field on the line:
-      // bench_check reads flat fields by their first occurrence, so every
-      // key the gates consume must appear before the nested object repeats
-      // any of them.
-      os << ", \"fingerprint\": " << r.fingerprint
+         << ", \"states\": " << r.states << ", \"fingerprint\": " << r.fingerprint
          << ", \"metrics\": " << to_json(r.stats) << "}"
          << (i + 1 < records_.size() ? "," : "") << "\n";
     }
@@ -185,16 +179,6 @@ public:
   }
 
 private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
-
   std::vector<BenchRecord> records_;
 };
 

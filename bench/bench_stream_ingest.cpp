@@ -25,7 +25,9 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define T2M_BENCH_HAVE_FORK 1
@@ -37,6 +39,7 @@
 #include "src/abstraction/event_stream.h"
 #include "src/core/learner.h"
 #include "src/core/report.h"
+#include "src/obs/json.h"
 #include "src/sim/synthetic/pattern_events.h"
 #include "src/trace/ftrace_io.h"
 #include "src/trace/mmap_io.h"
@@ -53,8 +56,7 @@ struct RunOutcome {
   bool ok = false;
   std::string status = "internal";  ///< error_code_name of the run's status
   std::size_t states = 0;
-  std::size_t segments = 0;
-  std::uint64_t conflicts = 0;
+  LearnStats stats;
   double wall_seconds = 0.0;
   long peak_rss_kb = 0;  ///< child ru_maxrss; 0 when fork is unavailable
 };
@@ -80,27 +82,57 @@ LearnerConfig make_config(const CliArgs& args, const sim::PatternEventConfig& ge
   return config;
 }
 
-/// Runs `body` and serialises its outcome into `path` (one line, ws-separated).
+/// Runs `body` and writes its wall time and to_json(result) into `path`.
 void run_and_report(const std::function<LearnResult()>& body, const std::string& path) {
   const Stopwatch watch;
   LearnResult result = body();
   const double wall = watch.elapsed_seconds();
   std::ofstream out(path);
-  out << (result.success ? 1 : 0) << ' ' << error_code_name(result.status.code()) << ' '
-      << result.states << ' ' << result.stats.segments << ' ' << result.stats.sat_conflicts
-      << ' ' << format_double(wall, 6) << '\n';
+  out << "{\"wall_seconds\": " << format_double(wall, 6) << ", \"result\": " << to_json(result)
+      << "}\n";
+}
+
+/// Reads a LearnStats back from its to_json() object, row by row.
+LearnStats stats_from_json(const obs::JsonValue& json) {
+  LearnStats stats;
+  LearnStats::for_each_field([&](const char* name, auto field, auto) {
+    const obs::JsonValue* value = json.find(name);
+    if (value == nullptr) return;
+    auto& member = stats.*field;
+    using T = std::decay_t<decltype(member)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      member = value->boolean;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      member = value->number;
+    } else {
+      member = static_cast<T>(value->as_uint64().value_or(0));
+    }
+  });
+  return stats;
 }
 
 RunOutcome read_report(const std::string& path) {
   RunOutcome outcome;
   std::ifstream in(path);
-  int ok = 0;
-  std::string status;
-  if (in >> ok >> status >> outcome.states >> outcome.segments >> outcome.conflicts >>
-      outcome.wall_seconds) {
-    outcome.ok = ok != 0;
-    outcome.status = status;
+  std::ostringstream text;
+  text << in.rdbuf();
+  obs::JsonValue report;
+  if (!obs::parse_json(text.str(), report).ok()) return outcome;
+  const obs::JsonValue* wall = report.find("wall_seconds");
+  const obs::JsonValue* result = report.find("result");
+  if (wall == nullptr || result == nullptr) return outcome;
+  const obs::JsonValue* success = result->find("success");
+  const obs::JsonValue* status = result->find("status");
+  const obs::JsonValue* states = result->find("states");
+  const obs::JsonValue* stats = result->find("stats");
+  if (success == nullptr || status == nullptr || states == nullptr || stats == nullptr) {
+    return outcome;
   }
+  outcome.ok = success->boolean;
+  outcome.status = status->string;
+  outcome.states = static_cast<std::size_t>(states->as_uint64().value_or(0));
+  outcome.stats = stats_from_json(*stats);
+  outcome.wall_seconds = wall->number;
   return outcome;
 }
 
@@ -147,20 +179,14 @@ void emit_json_record(std::ostream& os, const std::string& bench, const RunOutco
                       bool last) {
   // wall_exempt: these runs are disk-dominated; when their records are
   // copied into bench/BENCH_baseline.json the flag keeps bench_check's
-  // wall-clock gate off them (the RSS gate and conflict counts still apply).
-  // The flat work-counter fields go through the shared serializer
-  // (report.h). The child process reports only states/segments/conflicts, so
-  // the LearnStats is sparse and no nested "metrics" snapshot is emitted —
-  // bench_check's METRICS gate only fires when both sides carry one.
-  LearnStats stats;
-  stats.sat_conflicts = r.conflicts;
-  os << "  {\"bench\": \"" << bench << "\", \"wall_exempt\": true, \"wall_seconds\": "
-     << format_double(r.wall_seconds, 6) << ", \"success\": " << (r.ok ? "true" : "false")
-     << ", \"status\": \"" << r.status << "\""
-     << ", \"states\": " << r.states;
-  write_bench_stats_fields(os, stats);
-  os << ", \"segments\": " << r.segments << ", \"peak_rss_kb\": " << r.peak_rss_kb << "}"
-     << (last ? "" : ",") << "\n";
+  // wall-clock gate off them (the peak RSS is gated by this binary's own
+  // --min-rss-ratio; bench_check still applies its conflict gate).
+  os << "  {\"bench\": ";
+  obs::write_json_string(os, bench);
+  os << ", \"wall_exempt\": true, \"wall_seconds\": " << format_double(r.wall_seconds, 6)
+     << ", \"success\": " << (r.ok ? "true" : "false") << ", \"status\": \"" << r.status
+     << "\", \"states\": " << r.states << ", \"peak_rss_kb\": " << r.peak_rss_kb
+     << ", \"metrics\": " << to_json(r.stats) << "}" << (last ? "" : ",") << "\n";
 }
 
 }  // namespace
@@ -220,7 +246,7 @@ int main(int argc, char** argv) {
   TableWriter table({"path", "ok", "states", "segments", "wall s", "peak RSS MB"});
   const auto row = [&](const std::string& name, const RunOutcome& r) {
     table.add_row({name, r.ok ? "yes" : r.status == "ok" ? "no" : r.status,
-                   std::to_string(r.states), std::to_string(r.segments),
+                   std::to_string(r.states), std::to_string(r.stats.segments),
                    format_double(r.wall_seconds), format_double(r.peak_rss_kb / 1024.0, 1)});
   };
   row("streaming", streaming);
@@ -258,16 +284,18 @@ int main(int argc, char** argv) {
     std::cerr << "bench_stream_ingest: a path failed to learn\n";
     return 1;
   }
-  if (streaming.states != in_memory.states || streaming.segments != in_memory.segments) {
+  if (streaming.states != in_memory.states ||
+      streaming.stats.segments != in_memory.stats.segments) {
     std::cerr << "bench_stream_ingest: paths disagree (states " << streaming.states
-              << " vs " << in_memory.states << ", segments " << streaming.segments
-              << " vs " << in_memory.segments << ")\n";
+              << " vs " << in_memory.states << ", segments " << streaming.stats.segments
+              << " vs " << in_memory.stats.segments << ")\n";
     return 1;
   }
-  if (parallel.states != streaming.states || parallel.segments != streaming.segments) {
+  if (parallel.states != streaming.states ||
+      parallel.stats.segments != streaming.stats.segments) {
     std::cerr << "bench_stream_ingest: parallel path disagrees (states "
               << parallel.states << " vs " << streaming.states << ", segments "
-              << parallel.segments << " vs " << streaming.segments << ")\n";
+              << parallel.stats.segments << " vs " << streaming.stats.segments << ")\n";
     return 1;
   }
   const double min_speedup = args.get_double_or("min-speedup", 0.0);

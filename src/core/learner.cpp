@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "src/abstraction/event_stream.h"
 #include "src/base/memory_accountant.h"
@@ -73,31 +74,17 @@ RunBudget phase_budget(const LearnerConfig& config) {
 }  // namespace
 
 LearnStats& LearnStats::operator+=(const LearnStats& other) {
-  // Input-shape fields describe the shared artefacts — identical across
-  // workers of one run, so max is the faithful merge (and still sensible
-  // for heterogeneous merges).
-  sequence_length = std::max(sequence_length, other.sequence_length);
-  vocabulary_size = std::max(vocabulary_size, other.vocabulary_size);
-  segments = std::max(segments, other.segments);
-  encoded_transitions = std::max(encoded_transitions, other.encoded_transitions);
-  forbidden_words = std::max(forbidden_words, other.forbidden_words);
-  // Work counters add up: the aggregate is the total work the run paid for.
-  sat_calls += other.sat_calls;
-  refinements += other.refinements;
-  state_increments += other.state_increments;
-  csp_builds += other.csp_builds;
-  csp_grows += other.csp_grows;
-  reseeded_clauses += other.reseeded_clauses;
-  core_stops += other.core_stops;
-  sat_conflicts += other.sat_conflicts;
-  sat_propagations += other.sat_propagations;
-  sat_learned_clauses += other.sat_learned_clauses;
-  sat_peak_arena_bytes = std::max(sat_peak_arena_bytes, other.sat_peak_arena_bytes);
-  acceptance_relaxed = acceptance_relaxed || other.acceptance_relaxed;
-  // Parallel workers overlap in time; their wall clocks don't add.
-  abstraction_seconds = std::max(abstraction_seconds, other.abstraction_seconds);
-  construction_seconds = std::max(construction_seconds, other.construction_seconds);
-  total_seconds = std::max(total_seconds, other.total_seconds);
+  for_each_field([&](const char*, auto field, auto rule) {
+    auto& into = this->*field;
+    const auto from = other.*field;
+    if constexpr (std::is_same_v<decltype(rule), stats_merge::sum>) {
+      into += from;
+    } else if constexpr (std::is_same_v<decltype(rule), stats_merge::max>) {
+      into = std::max(into, from);
+    } else {
+      into = into || from;
+    }
+  });
   return *this;
 }
 

@@ -116,45 +116,77 @@ struct PortfolioConfigStats {
   double wall_seconds = 0.0;
 };
 
+/// How LearnStats::operator+= folds another run's value of a field into this
+/// one, the aggregation sharded and portfolio drivers report instead of one
+/// arbitrary worker's numbers. The third column of T2M_LEARN_STATS_FIELDS.
+namespace stats_merge {
+struct sum {};  ///< work counters: the total work the run paid for
+/// Sizes of the (shared) input, identical across workers of one run, and
+/// wall-clock phases, which overlap when workers run in parallel.
+struct max {};
+struct any {};  ///< flags: logical or, set when any worker set it
+}  // namespace stats_merge
+
+/// The LearnStats fields, one row each: X(type, name, merge rule). This is
+/// the one list of them: the members below, operator+=, to_json,
+/// publish_learn_metrics and the bench records all derive from it, so a new
+/// counter is one added row. Rows are in to_json key order.
+#define T2M_LEARN_STATS_FIELDS(X)                                              \
+  X(std::size_t, sequence_length, max)       /* |P| */                         \
+  X(std::size_t, vocabulary_size, max)       /* distinct predicates */         \
+  X(std::size_t, segments, max)              /* unique windows encoded */      \
+  X(std::size_t, encoded_transitions, max)                                     \
+  X(std::size_t, sat_calls, sum)                                               \
+  /* compliance iterations that added constraints */                           \
+  X(std::size_t, refinements, sum)                                             \
+  X(std::size_t, state_increments, sum)      /* times N had to grow */         \
+  /* distinct forbidden sequences learned */                                   \
+  X(std::size_t, forbidden_words, max)                                         \
+  /* Solver-reuse trajectory: how often the run could flip assumptions on a    \
+     live solver versus paying for a fresh encoding. */                        \
+  /* CSP constructions (fresh path: one per N) */                              \
+  X(std::size_t, csp_builds, sum)                                              \
+  /* in-place state-count growths (persistent path) */                         \
+  X(std::size_t, csp_grows, sum)                                               \
+  /* Learned clauses carried across capacity rebuilds via                      \
+     AutomatonCsp::reseed_from (persistent path only). */                      \
+  X(std::size_t, reseeded_clauses, sum)                                        \
+  /* Aggregated over every CSP solver the run constructed (the perf            \
+     trajectory counters the bench JSON emitter records). */                   \
+  X(std::uint64_t, sat_conflicts, sum)                                         \
+  X(std::uint64_t, sat_propagations, sum)                                      \
+  X(std::uint64_t, sat_learned_clauses, sum)                                   \
+  /* max clause-arena bytes of any CSP */                                      \
+  X(std::size_t, sat_peak_arena_bytes, max)                                    \
+  /* Times the assumption-core early stop fired (0 or 1 per run): the          \
+     persistent solver proved the instance Unsat for every state count. */     \
+  X(std::size_t, core_stops, sum)                                              \
+  /* True when the trace-acceptance strengthening was abandoned after          \
+     max_acceptance_blocks sibling models (the result is still compliant). */  \
+  X(bool, acceptance_relaxed, any)                                             \
+  X(double, abstraction_seconds, max)                                          \
+  X(double, construction_seconds, max)                                         \
+  X(double, total_seconds, max)
+
 /// Counters describing one learning run.
 struct LearnStats {
-  std::size_t sequence_length = 0;   ///< |P|
-  std::size_t vocabulary_size = 0;   ///< distinct predicates
-  std::size_t segments = 0;          ///< unique windows encoded
-  std::size_t encoded_transitions = 0;
-  std::size_t sat_calls = 0;
-  std::size_t refinements = 0;       ///< compliance iterations that added constraints
-  std::size_t state_increments = 0;  ///< times N had to grow
-  std::size_t forbidden_words = 0;   ///< distinct forbidden sequences learned
-  // Solver-reuse trajectory: how often the run could flip assumptions on a
-  // live solver versus paying for a fresh encoding.
-  std::size_t csp_builds = 0;  ///< CSP constructions (fresh path: one per N)
-  std::size_t csp_grows = 0;   ///< in-place state-count growths (persistent path)
-  /// Learned clauses carried across capacity rebuilds via
-  /// AutomatonCsp::reseed_from (persistent path only).
-  std::size_t reseeded_clauses = 0;
-  // Aggregated over every CSP solver the run constructed (the perf
-  // trajectory counters the bench JSON emitter records).
-  std::uint64_t sat_conflicts = 0;
-  std::uint64_t sat_propagations = 0;
-  std::uint64_t sat_learned_clauses = 0;
-  std::size_t sat_peak_arena_bytes = 0;  ///< max clause-arena bytes of any CSP
-  /// Times the assumption-core early stop fired (0 or 1 per run): the
-  /// persistent solver proved the instance Unsat for every state count.
-  std::size_t core_stops = 0;
-  /// True when the trace-acceptance strengthening was abandoned after
-  /// max_acceptance_blocks sibling models (the result is still compliant).
-  bool acceptance_relaxed = false;
-  double abstraction_seconds = 0.0;
-  double construction_seconds = 0.0;
-  double total_seconds = 0.0;
+#define T2M_LEARN_STATS_MEMBER(type, name, merge) type name{};
+  T2M_LEARN_STATS_FIELDS(T2M_LEARN_STATS_MEMBER)
+#undef T2M_LEARN_STATS_MEMBER
   /// Portfolio runs: one entry per racing configuration (empty otherwise).
   std::vector<PortfolioConfigStats> portfolio;
 
-  /// Merges another run's counters into this one, the aggregation sharded
-  /// and portfolio drivers report instead of one arbitrary worker's numbers:
-  /// work counters add up, sizes describing the (shared) input and the
-  /// wall-clock phases take the maximum (parallel runs overlap), flags OR.
+  /// Calls visit(name, &LearnStats::member, stats_merge tag) once per row
+  /// of T2M_LEARN_STATS_FIELDS, in list order; `portfolio` is not a row.
+  template <class Visit>
+  static void for_each_field(Visit&& visit) {
+#define T2M_LEARN_STATS_VISIT(type, name, merge) \
+  visit(#name, &LearnStats::name, stats_merge::merge{});
+    T2M_LEARN_STATS_FIELDS(T2M_LEARN_STATS_VISIT)
+#undef T2M_LEARN_STATS_VISIT
+  }
+
+  /// Merges another run's counters into this one by each row's merge rule.
   /// The per-configuration `portfolio` breakdown is left untouched.
   LearnStats& operator+=(const LearnStats& other);
 };

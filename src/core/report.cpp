@@ -1,9 +1,11 @@
 #include "src/core/report.h"
 
 #include <sstream>
+#include <type_traits>
 
 #include "src/automaton/dot.h"
 #include "src/base/memory_accountant.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/util/string_utils.h"
 
@@ -22,30 +24,6 @@ const char* failure_verdict(ErrorCode code) {
     case ErrorCode::resource_exhausted: return "ran out of memory";
     default: return "failed with an error";
   }
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* json_bool(bool value) { return value ? "true" : "false"; }
@@ -108,11 +86,13 @@ std::string format_learn_summary(const LearnResult& result) {
 
 std::string to_json(const PortfolioConfigStats& lane) {
   std::ostringstream os;
-  os << "{\"name\": \"" << json_escape(lane.name) << "\""
-     << ", \"winner\": " << json_bool(lane.winner)
+  os << "{\"name\": ";
+  obs::write_json_string(os, lane.name);
+  os << ", \"winner\": " << json_bool(lane.winner)
      << ", \"status\": \"" << error_code_name(lane.status.code()) << "\"";
   if (!lane.status.ok()) {
-    os << ", \"error\": \"" << json_escape(lane.status.to_string()) << "\"";
+    os << ", \"error\": ";
+    obs::write_json_string(os, lane.status.to_string());
   }
   os << ", \"states\": " << lane.states << ", \"sat_calls\": " << lane.sat_calls
      << ", \"sat_conflicts\": " << lane.sat_conflicts
@@ -123,26 +103,19 @@ std::string to_json(const PortfolioConfigStats& lane) {
 
 std::string to_json(const LearnStats& stats) {
   std::ostringstream os;
-  os << "{\"sequence_length\": " << stats.sequence_length
-     << ", \"vocabulary_size\": " << stats.vocabulary_size
-     << ", \"segments\": " << stats.segments
-     << ", \"encoded_transitions\": " << stats.encoded_transitions
-     << ", \"sat_calls\": " << stats.sat_calls
-     << ", \"refinements\": " << stats.refinements
-     << ", \"state_increments\": " << stats.state_increments
-     << ", \"forbidden_words\": " << stats.forbidden_words
-     << ", \"csp_builds\": " << stats.csp_builds
-     << ", \"csp_grows\": " << stats.csp_grows
-     << ", \"reseeded_clauses\": " << stats.reseeded_clauses
-     << ", \"sat_conflicts\": " << stats.sat_conflicts
-     << ", \"sat_propagations\": " << stats.sat_propagations
-     << ", \"sat_learned_clauses\": " << stats.sat_learned_clauses
-     << ", \"sat_peak_arena_bytes\": " << stats.sat_peak_arena_bytes
-     << ", \"core_stops\": " << stats.core_stops
-     << ", \"acceptance_relaxed\": " << json_bool(stats.acceptance_relaxed)
-     << ", \"abstraction_seconds\": " << format_double(stats.abstraction_seconds, 6)
-     << ", \"construction_seconds\": " << format_double(stats.construction_seconds, 6)
-     << ", \"total_seconds\": " << format_double(stats.total_seconds, 6);
+  const char* separator = "{";
+  LearnStats::for_each_field([&](const char* name, auto field, auto) {
+    using T = std::decay_t<decltype(stats.*field)>;
+    os << separator << '"' << name << "\": ";
+    separator = ", ";
+    if constexpr (std::is_same_v<T, bool>) {
+      os << json_bool(stats.*field);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      os << format_double(stats.*field, 6);
+    } else {
+      os << stats.*field;
+    }
+  });
   if (!stats.portfolio.empty()) {
     os << ", \"portfolio\": [";
     for (std::size_t i = 0; i < stats.portfolio.size(); ++i) {
@@ -163,19 +136,11 @@ std::string to_json(const LearnResult& result) {
      << ", \"transitions\": " << result.model.num_transitions()
      << ", \"predicates\": " << result.preds.vocab.size();
   if (!result.status.ok()) {
-    os << ", \"error\": \"" << json_escape(result.status.to_string()) << "\"";
+    os << ", \"error\": ";
+    obs::write_json_string(os, result.status.to_string());
   }
   os << ", \"stats\": " << to_json(result.stats) << "}";
   return os.str();
-}
-
-void write_bench_stats_fields(std::ostream& os, const LearnStats& stats) {
-  os << ", \"sat_calls\": " << stats.sat_calls
-     << ", \"sat_conflicts\": " << stats.sat_conflicts
-     << ", \"sat_propagations\": " << stats.sat_propagations
-     << ", \"peak_clause_arena_bytes\": " << stats.sat_peak_arena_bytes
-     << ", \"csp_builds\": " << stats.csp_builds
-     << ", \"csp_grows\": " << stats.csp_grows;
 }
 
 void publish_learn_metrics(const LearnResult& result) {
@@ -185,17 +150,13 @@ void publish_learn_metrics(const LearnResult& result) {
   if (result.success) obs::count("learn.success");
   obs::count(("learn.status." + std::string(error_code_name(result.status.code()))).c_str());
   if (result.salvaged()) obs::count("learn.salvaged");
-  obs::count("learn.sat_calls", s.sat_calls);
-  obs::count("learn.refinements", s.refinements);
-  obs::count("learn.state_increments", s.state_increments);
-  obs::count("learn.forbidden_words", s.forbidden_words);
-  obs::count("learn.csp_builds", s.csp_builds);
-  obs::count("learn.csp_grows", s.csp_grows);
-  obs::count("learn.reseeded_clauses", s.reseeded_clauses);
-  obs::count("learn.core_stops", s.core_stops);
-  obs::count("learn.sat_conflicts", s.sat_conflicts);
-  obs::count("learn.sat_propagations", s.sat_propagations);
-  obs::count("learn.sat_learned_clauses", s.sat_learned_clauses);
+  // Every integer and flag field is a counter under its own name; the phase
+  // times are left to the trace spans.
+  LearnStats::for_each_field([&](const char* name, auto field, auto) {
+    if constexpr (!std::is_floating_point_v<std::decay_t<decltype(s.*field)>>) {
+      obs::count(("learn." + std::string(name)).c_str(), static_cast<std::uint64_t>(s.*field));
+    }
+  });
   obs::gauge_set("learn.states", static_cast<std::int64_t>(result.states));
   obs::gauge_max("learn.peak_arena_bytes",
                  static_cast<std::int64_t>(s.sat_peak_arena_bytes));

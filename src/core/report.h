@@ -1,7 +1,6 @@
 #ifndef T2M_CORE_REPORT_H
 #define T2M_CORE_REPORT_H
 
-#include <ostream>
 #include <string>
 
 #include "src/base/schema.h"
@@ -19,26 +18,22 @@ std::string format_learn_summary(const LearnResult& result);
 /// Single-line JSON object for one portfolio lane's outcome.
 std::string to_json(const PortfolioConfigStats& lane);
 
-/// Single-line JSON object covering every LearnStats field, the portfolio
-/// lane breakdown included. The one stats serialization — `t2m --stats-out`,
-/// the bench emitters' "metrics" snapshots and the portfolio lane reporting
-/// all go through it, so the key names cannot drift between consumers.
+/// Single-line JSON object with one key per T2M_LEARN_STATS_FIELDS row, in
+/// list order, plus the portfolio lane breakdown when there is one. The one
+/// stats serialization — `t2m --stats-out`, the bench records' "metrics"
+/// object and the portfolio lane reporting all go through it, so the key
+/// names cannot drift between consumers.
 std::string to_json(const LearnStats& stats);
 
 /// Verdict envelope for `t2m --stats-out`: "success", "status" (the error
 /// code name) + "stats": to_json(...).
 std::string to_json(const LearnResult& result);
 
-/// The flat work-counter fields of the one-record-per-line bench JSON
-/// format, emitted as `, "sat_calls": N, ...` (leading separator included).
-/// Key names are part of the bench_check contract — shared here so the
-/// bench emitters cannot diverge from the checker.
-void write_bench_stats_fields(std::ostream& os, const LearnStats& stats);
-
 /// Publishes a finished run's counters into the global obs metrics registry
-/// (no-op when metrics are disabled): learn.* counters from LearnStats plus
-/// memory-accountant peaks. Called once per run by the learner, which is
-/// what keeps per-event accumulation free when observability is off.
+/// (no-op when metrics are disabled): a learn.<field> counter per integer
+/// and flag row of T2M_LEARN_STATS_FIELDS plus memory-accountant peaks.
+/// Called once per run by the learner, which is what keeps per-event
+/// accumulation free when observability is off.
 void publish_learn_metrics(const LearnResult& result);
 
 }  // namespace t2m

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <ostream>
+#include <utility>
 
 namespace t2m::obs {
 
@@ -11,6 +13,35 @@ const JsonValue* JsonValue::find(std::string_view key) const {
     if (name == key) return &value;
   }
   return nullptr;
+}
+
+std::optional<std::uint64_t> JsonValue::as_uint64() const {
+  std::uint64_t value = 0;
+  const char* end = string.data() + string.size();
+  const auto [ptr, ec] = std::from_chars(string.data(), end, value);
+  if (!is_number() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+void write_json_string(std::ostream& os, std::string_view text) {
+  os << '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          os << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
 }
 
 namespace {
@@ -94,13 +125,14 @@ private:
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     out.number = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || token.empty() || token == "-") {
       return fail("malformed number '" + token + "'");
     }
     out.kind = JsonValue::Kind::Number;
+    out.string = std::move(token);
     return Status::Ok();
   }
 

@@ -2,26 +2,13 @@
 
 #include <fstream>
 
+#include "src/obs/json.h"
+
 namespace t2m::obs {
 
 namespace detail {
 std::atomic<bool> g_metrics_enabled{false};
 }  // namespace detail
-
-namespace {
-
-/// Metric names are identifier-ish by convention ("learn.sat_calls"); the
-/// escape still guards the two JSON-breaking characters for robustness.
-void write_name(std::ostream& os, const std::string& name) {
-  os << '"';
-  for (const char c : name) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
@@ -70,7 +57,7 @@ void MetricsRegistry::write_json(std::ostream& os) {
   for (const auto& [name, counter] : counters_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_name(os, name);
+    write_json_string(os, name);
     os << ": " << counter->value();
   }
   os << (first ? "}" : "\n  }") << ",\n  \"gauges\": {";
@@ -78,7 +65,7 @@ void MetricsRegistry::write_json(std::ostream& os) {
   for (const auto& [name, gauge] : gauges_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_name(os, name);
+    write_json_string(os, name);
     os << ": " << gauge->value();
   }
   os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
@@ -86,7 +73,7 @@ void MetricsRegistry::write_json(std::ostream& os) {
   for (const auto& [name, histogram] : histograms_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_name(os, name);
+    write_json_string(os, name);
     os << ": {\"count\": " << histogram->count() << ", \"sum\": " << histogram->sum()
        << ", \"buckets\": [";
     bool first_bucket = true;

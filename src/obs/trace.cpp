@@ -4,6 +4,8 @@
 #include <fstream>
 #include <string_view>
 
+#include "src/obs/json.h"
+
 namespace t2m::obs {
 
 namespace detail {
@@ -11,28 +13,6 @@ std::atomic<bool> g_trace_enabled{false};
 }  // namespace detail
 
 namespace {
-
-/// JSON string escape shared by names, thread names and string args.
-void write_json_string(std::ostream& os, std::string_view text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          os << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// Chrome trace timestamps are microseconds; emit ns ticks as µs with three
 /// decimals so no precision is lost through the division.

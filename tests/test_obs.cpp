@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -199,6 +200,25 @@ TEST(Json, ParsesStructuresAndRejectsGarbage) {
   EXPECT_FALSE(obs::parse_json("{\"a\": 1} trailing", v).ok());
 }
 
+TEST(Json, ReadsLargeIntegersExactly) {
+  // 2^64 - 1 has no exact double; the reader keeps the literal's text.
+  obs::JsonValue v;
+  ASSERT_TRUE(obs::parse_json("[18446744073709551615, 1.5, -3]", v).ok());
+  EXPECT_EQ(v.array[0].as_uint64(), std::optional<std::uint64_t>(18446744073709551615u));
+  EXPECT_EQ(v.array[1].as_uint64(), std::nullopt);
+  EXPECT_EQ(v.array[2].as_uint64(), std::nullopt);
+}
+
+TEST(Json, StringWriterRoundTrips) {
+  const std::string text = std::string("a\x01" "b\"c\\d\n\te") + '\0' + "f";
+  std::ostringstream os;
+  obs::write_json_string(os, text);
+  obs::JsonValue v;
+  ASSERT_TRUE(obs::parse_json(os.str(), v).ok()) << os.str();
+  ASSERT_TRUE(v.is_string());
+  EXPECT_EQ(v.string, text);
+}
+
 // --- metrics ---------------------------------------------------------------
 
 TEST(Histogram, LogScaleBucketEdges) {
@@ -299,6 +319,35 @@ TEST(ObsIdentity, MetricsIdenticalWithTracingOnAndOff) {
   EXPECT_EQ(counters_off, counters_on);
   EXPECT_GT(counters_on.at("learn.sat_calls"), 0u);
   EXPECT_EQ(counters_on.at("learn.runs"), 1u);
+}
+
+TEST(Metrics, PublishLearnMetricsKeepsEveryName) {
+  const ObsQuiescent guard;
+  obs::MetricsRegistry::global().reset();
+  obs::MetricsRegistry::global().enable();
+  const LearnResult result = run_small_learn();
+  ASSERT_TRUE(result.success);
+  const auto counters = obs::MetricsRegistry::global().counter_values();
+  for (const char* name :
+       {"learn.runs", "learn.success", "learn.status.ok", "learn.sat_calls",
+        "learn.refinements", "learn.state_increments", "learn.forbidden_words",
+        "learn.csp_builds", "learn.csp_grows", "learn.reseeded_clauses", "learn.core_stops",
+        "learn.sat_conflicts", "learn.sat_propagations", "learn.sat_learned_clauses"}) {
+    EXPECT_EQ(counters.count(name), 1u) << name;
+  }
+  EXPECT_EQ(counters.at("learn.sat_conflicts"), result.stats.sat_conflicts);
+  EXPECT_EQ(counters.at("learn.forbidden_words"), result.stats.forbidden_words);
+
+  std::ostringstream os;
+  obs::MetricsRegistry::global().write_json(os);
+  obs::JsonValue snapshot;
+  ASSERT_TRUE(obs::parse_json(os.str(), snapshot).ok());
+  for (const char* name : {"learn.states", "learn.peak_arena_bytes", "mem.peak_bytes"}) {
+    EXPECT_NE(snapshot.find("gauges")->find(name), nullptr) << name;
+  }
+  for (const char* name : {"learn.run_sat_calls", "learn.run_conflicts"}) {
+    EXPECT_NE(snapshot.find("histograms")->find(name), nullptr) << name;
+  }
 }
 
 TEST(ObsIdentity, LearnArtefactsIdenticalWithObservabilityOnAndOff) {

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/learner.h"
+#include "src/core/report.h"
+#include "src/obs/json.h"
 #include "src/parallel/scratch_arena.h"
 #include "src/parallel/thread_pool.h"
 #include "src/sat/solver.h"
@@ -196,6 +202,68 @@ TEST(LearnStatsMerge, WorkAddsShapeMaxesFlagsOr) {
   EXPECT_EQ(a.csp_builds, 3u);
   EXPECT_TRUE(a.acceptance_relaxed);
   EXPECT_DOUBLE_EQ(a.total_seconds, 3.5);  // parallel overlap: max, not sum
+}
+
+/// Gives every T2M_LEARN_STATS_FIELDS row a distinct non-zero value, offset
+/// by `offset`; flags are set to `flags`.
+LearnStats distinct_stats(std::uint64_t offset, bool flags) {
+  LearnStats stats;
+  std::uint64_t next = offset;
+  LearnStats::for_each_field([&](const char*, auto field, auto) {
+    using T = std::decay_t<decltype(stats.*field)>;
+    ++next;
+    if constexpr (std::is_same_v<T, bool>) {
+      stats.*field = flags;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      stats.*field = static_cast<double>(next) + 0.25;
+    } else {
+      stats.*field = static_cast<T>(next);
+    }
+  });
+  return stats;
+}
+
+TEST(LearnStatsFields, JsonHasOneKeyPerRowInListOrder) {
+  const LearnStats stats = distinct_stats(0, true);
+  obs::JsonValue json;
+  ASSERT_TRUE(obs::parse_json(to_json(stats), json).ok());
+  ASSERT_TRUE(json.is_object());
+  std::size_t row = 0;
+  LearnStats::for_each_field([&](const char* name, auto field, auto) {
+    ASSERT_LT(row, json.object.size()) << name;
+    const auto& [key, value] = json.object[row++];
+    EXPECT_EQ(key, name);
+    using T = std::decay_t<decltype(stats.*field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      ASSERT_TRUE(value.is_bool()) << name;
+      EXPECT_EQ(value.boolean, stats.*field) << name;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      ASSERT_TRUE(value.is_number()) << name;
+      EXPECT_DOUBLE_EQ(value.number, stats.*field) << name;
+    } else {
+      EXPECT_EQ(value.as_uint64(), std::optional<std::uint64_t>(stats.*field)) << name;
+    }
+  });
+  EXPECT_EQ(row, json.object.size());
+}
+
+TEST(LearnStatsFields, MergeAppliesEachRowsRule) {
+  const LearnStats before = distinct_stats(0, false);
+  const LearnStats other = distinct_stats(100, true);
+  LearnStats merged = before;
+  merged += other;
+  LearnStats::for_each_field([&](const char* name, auto field, auto rule) {
+    using Rule = decltype(rule);
+    const auto x = before.*field;
+    const auto y = other.*field;
+    if constexpr (std::is_same_v<Rule, stats_merge::sum>) {
+      EXPECT_EQ(merged.*field, x + y) << name;
+    } else if constexpr (std::is_same_v<Rule, stats_merge::max>) {
+      EXPECT_EQ(merged.*field, std::max(x, y)) << name;
+    } else {
+      EXPECT_EQ(merged.*field, x || y) << name;
+    }
+  });
 }
 
 }  // namespace

@@ -3,46 +3,57 @@
 //
 //   bench_check --baseline bench/BENCH_baseline.json RESULTS.json [MORE.json...]
 //       [--max-wall-regress 0.25]   fail when wall_seconds grows by >25%
-//       [--max-conflict-factor 2.0] fail when sat_conflicts more than doubles
 //       [--min-wall 0.05]           ignore wall checks below this many seconds
 //
-// A baseline entry carrying "wall_exempt": true opts out of the wall-clock
-// gate only (used for IO-bound benches whose absolute time is dominated by
-// the recording machine's disk, e.g. stream_ingest); its conflict and
-// timeout gates still apply.
+// Each file is one JSON array of bench records, read with the strict
+// src/obs/json reader; a malformed file exits 2 with the reader's offset
+// message. A record's "bench", "wall_seconds", "status", "wall_exempt" and
+// "fingerprint" are top-level keys; its conflict count is the
+// "sat_conflicts" of its nested "metrics" object (report.h's to_json).
+//
+// A baseline record absent from the results is MISSING and fails the run.
+// A run cut short (TIMEOUT, BUDGET, MEMORY) against a completed baseline is
+// a regression. WALL fails when wall_seconds grows past the tolerance; a
+// baseline entry carrying "wall_exempt": true opts out of that gate only
+// (used for IO-bound benches whose absolute time is dominated by the
+// recording machine's disk, e.g. stream_ingest). CONFLICT fails when
+// sat_conflicts more than doubles.
 //
 // When both the baseline entry and the result carry a nonzero "fingerprint"
 // (the structural clause-database hash the encode benches record), they must
 // match exactly: the fingerprint is machine-independent, so any drift means
 // the encoder changed the emitted clauses — in particular it pins the
 // proof-logging zero-cost claim, since the baseline values were produced by
-// a proof-logging-disabled encode (docs/proof_checking.md).
+// a proof-logging-disabled encode (docs/proof_checking.md). Fingerprints use
+// the full uint64 range, so they are read exactly from the number's text,
+// never through a double.
 //
-// A baseline entry carrying a nested "metrics" snapshot (the full-stats
-// object BenchResultsJson appends as the last field of each line) requires
-// the result entry to carry one too — the presence gate that keeps the
-// observability plumbing wired into the bench emitters.
+// A baseline entry carrying a "metrics" object requires the result entry to
+// carry one too — the presence gate that keeps the observability plumbing
+// wired into the bench emitters.
 //
-// Reads only the fixed one-record-per-line format BenchResultsJson emits;
-// this is a tripwire for our own artefacts, not a general JSON parser.
 // Wall-clock on shared CI runners is noisy, hence the absolute floor and the
 // generous default tolerance; conflict counts are machine-independent and
 // catch search-quality regressions the timings hide.
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/base/status.h"
+#include "src/obs/json.h"
 #include "src/util/cli.h"
-#include "src/util/string_utils.h"
 
 namespace {
+
+using t2m::obs::JsonValue;
+
+/// A CONFLICT regression is more than this many times the baseline count.
+constexpr double kMaxConflictFactor = 2.0;
 
 struct Record {
   double wall_seconds = 0.0;
@@ -50,9 +61,8 @@ struct Record {
   t2m::ErrorCode status = t2m::ErrorCode::ok;
   bool wall_exempt = false;
   std::uint64_t fingerprint = 0;  ///< 0 = not recorded; gate needs both sides
-  /// Record carries a nested full-stats "metrics" object (the obs-layer
-  /// snapshot BenchResultsJson appends last on the line). Presence-gated
-  /// like the fingerprint: the gate only fires when the baseline has one.
+  /// Record carries a "metrics" object. Presence-gated like the
+  /// fingerprint: the gate only fires when the baseline has one.
   bool has_metrics = false;
 };
 
@@ -70,93 +80,71 @@ const char* cut_short_tag(t2m::ErrorCode code) {
   }
 }
 
-/// Checked numeric field parse: a malformed artefact is a tooling bug, not a
-/// bench regression — bail with the usage exit code instead of letting
-/// std::stod throw (or worse, truncate silently).
-double parse_wall(const std::string& text, const std::string& path) {
-  double value = 0.0;
-  if (!t2m::parse_double(text, value)) {
-    std::cerr << "bench_check: malformed wall_seconds '" << text << "' in " << path << "\n";
-    std::exit(2);
+/// A malformed artefact is a tooling bug, not a bench regression: bail with
+/// the usage exit code.
+[[noreturn]] void malformed(const std::string& path, const std::string& what) {
+  std::cerr << "bench_check: " << path << ": " << what << "\n";
+  std::exit(2);
+}
+
+/// `record[key]` when present, checked to be of `kind`; nullptr when absent.
+const JsonValue* field(const JsonValue& record, const char* key, JsonValue::Kind kind,
+                       const std::string& path) {
+  const JsonValue* value = record.find(key);
+  if (value != nullptr && value->kind != kind) {
+    malformed(path, std::string("\"") + key + "\" has the wrong type");
   }
   return value;
 }
 
-std::uint64_t parse_conflicts(const std::string& text, const std::string& path) {
-  std::int64_t value = 0;
-  if (!t2m::parse_int64(text, value) || value < 0) {
-    std::cerr << "bench_check: malformed sat_conflicts '" << text << "' in " << path << "\n";
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-std::uint64_t parse_fingerprint(const std::string& text, const std::string& path) {
-  // Fingerprints use the full uint64 range, so they go through stoull
-  // rather than the signed parse_int64 helper.
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(text, &consumed);
-    if (consumed == text.size()) return value;
-  } catch (const std::exception&) {
-  }
-  std::cerr << "bench_check: malformed fingerprint '" << text << "' in " << path << "\n";
-  std::exit(2);
-}
-
-t2m::ErrorCode parse_status(const std::string& text, const std::string& path) {
-  t2m::ErrorCode code = t2m::ErrorCode::ok;
-  if (!t2m::parse_error_code(text, code)) {
-    std::cerr << "bench_check: malformed status '" << text << "' in " << path << "\n";
-    std::exit(2);
-  }
-  return code;
-}
-
-std::optional<std::string> field_text(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t start = at + needle.size();
-  std::size_t end = start;
-  if (end < line.size() && line[end] == '"') {  // string value
-    ++end;
-    std::string out;
-    while (end < line.size() && line[end] != '"') {
-      if (line[end] == '\\' && end + 1 < line.size()) ++end;
-      out.push_back(line[end++]);
-    }
-    return out;
-  }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
+std::uint64_t exact_count(const JsonValue& value, const char* key, const std::string& path) {
+  const auto count = value.as_uint64();
+  if (!count) malformed(path, std::string("malformed ") + key + " '" + value.string + "'");
+  return *count;
 }
 
 std::map<std::string, Record> load(const std::string& path) {
-  std::map<std::string, Record> records;
   std::ifstream in(path);
   if (!in) {
     std::cerr << "bench_check: cannot open " << path << "\n";
     std::exit(2);
   }
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto bench = field_text(line, "bench");
-    if (!bench) continue;
+  std::ostringstream text;
+  text << in.rdbuf();
+  JsonValue document;
+  if (const t2m::Status parsed = t2m::obs::parse_json(text.str(), document); !parsed.ok()) {
+    malformed(path, parsed.to_string());
+  }
+  if (!document.is_array()) malformed(path, "expected an array of bench records");
+
+  using Kind = JsonValue::Kind;
+  std::map<std::string, Record> records;
+  for (const JsonValue& entry : document.array) {
+    if (!entry.is_object()) malformed(path, "expected an array of bench records");
+    const JsonValue* bench = field(entry, "bench", Kind::String, path);
+    if (bench == nullptr) malformed(path, "record without a \"bench\" name");
     Record rec;
-    if (const auto wall = field_text(line, "wall_seconds")) {
-      rec.wall_seconds = parse_wall(*wall, path);
+    if (const JsonValue* wall = field(entry, "wall_seconds", Kind::Number, path)) {
+      rec.wall_seconds = wall->number;
     }
-    if (const auto conflicts = field_text(line, "sat_conflicts")) {
-      rec.sat_conflicts = parse_conflicts(*conflicts, path);
+    if (const JsonValue* status = field(entry, "status", Kind::String, path)) {
+      if (!t2m::parse_error_code(status->string, rec.status)) {
+        malformed(path, "malformed status '" + status->string + "'");
+      }
     }
-    if (const auto status = field_text(line, "status")) rec.status = parse_status(*status, path);
-    if (const auto exempt = field_text(line, "wall_exempt")) rec.wall_exempt = *exempt == "true";
-    if (const auto fp = field_text(line, "fingerprint")) {
-      rec.fingerprint = parse_fingerprint(*fp, path);
+    if (const JsonValue* exempt = field(entry, "wall_exempt", Kind::Bool, path)) {
+      rec.wall_exempt = exempt->boolean;
     }
-    rec.has_metrics = line.find("\"metrics\": {") != std::string::npos;
-    records[*bench] = rec;
+    if (const JsonValue* fp = field(entry, "fingerprint", Kind::Number, path)) {
+      rec.fingerprint = exact_count(*fp, "fingerprint", path);
+    }
+    if (const JsonValue* metrics = field(entry, "metrics", Kind::Object, path)) {
+      rec.has_metrics = true;
+      if (const JsonValue* conflicts = field(*metrics, "sat_conflicts", Kind::Number, path)) {
+        rec.sat_conflicts = exact_count(*conflicts, "sat_conflicts", path);
+      }
+    }
+    records[bench->string] = rec;
   }
   return records;
 }
@@ -168,7 +156,6 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string baseline_path = args.get_or("baseline", "bench/BENCH_baseline.json");
   const double max_wall_regress = args.get_double_or("max-wall-regress", 0.25);
-  const double max_conflict_factor = args.get_double_or("max-conflict-factor", 2.0);
   const double min_wall = args.get_double_or("min-wall", 0.05);
   if (args.positional().empty()) {
     std::cerr << "usage: bench_check --baseline BASELINE.json RESULTS.json [MORE.json...]\n";
@@ -182,12 +169,13 @@ int main(int argc, char** argv) {
   }
 
   int regressions = 0;
+  int missing = 0;
   int checked = 0;
   for (const auto& [bench, base] : baseline) {
     const auto it = results.find(bench);
     if (it == results.end()) {
       std::cerr << "MISSING  " << bench << " (in baseline, absent from results)\n";
-      ++regressions;
+      ++missing;
       continue;
     }
     const Record& got = it->second;
@@ -232,14 +220,14 @@ int main(int argc, char** argv) {
     // machine (or the budget) allowed.
     if (!incomplete(base) && !incomplete(got) && base.sat_conflicts >= 100 &&
         static_cast<double>(got.sat_conflicts) >
-            static_cast<double>(base.sat_conflicts) * max_conflict_factor) {
+            static_cast<double>(base.sat_conflicts) * kMaxConflictFactor) {
       std::cerr << "CONFLICT " << bench << ": " << got.sat_conflicts << " vs baseline "
-                << base.sat_conflicts << " (> x" << max_conflict_factor << ")\n";
+                << base.sat_conflicts << " (> x" << kMaxConflictFactor << ")\n";
       ++regressions;
     }
   }
 
   std::cout << "bench_check: " << checked << " benches checked against " << baseline_path
-            << ", " << regressions << " regression(s)\n";
-  return regressions == 0 ? 0 : 1;
+            << ", " << missing << " missing, " << regressions << " regression(s)\n";
+  return regressions == 0 && missing == 0 ? 0 : 1;
 }
