@@ -264,6 +264,29 @@ void BM_SegmentSchedTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentSchedTrace);
 
+void BM_AbstractSchedTrace(benchmark::State& state) {
+  const Trace trace = sim::generate_full_coverage_sched_trace(20165);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(abstract_trace(trace));
+  }
+}
+BENCHMARK(BM_AbstractSchedTrace);
+
+// The learner's acceptance replay over the 20k-step sched sequence. The
+// model is learned with trace acceptance on, so the walk runs to the end
+// instead of stopping at an early dead end.
+void BM_AcceptSchedTrace(benchmark::State& state) {
+  const auto& f = learn_bench::fixture();
+  const Nfa model = ModelLearner().learn_from_sequence(f.sched_preds, f.sched_schema).model;
+  bool accepted = false;
+  for (auto _ : state) {
+    accepted = model.accepts(f.sched_preds.seq);
+    benchmark::DoNotOptimize(accepted);
+  }
+  state.counters["accepted"] = accepted ? 1.0 : 0.0;
+}
+BENCHMARK(BM_AcceptSchedTrace);
+
 
 // Propagate-heavy with clause-memory traffic: ternary implication chains
 // (the third literal is an assumption-falsified dummy, so every step scans

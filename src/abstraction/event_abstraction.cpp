@@ -1,6 +1,9 @@
 #include "src/abstraction/event_abstraction.h"
 
 #include <stdexcept>
+#include <utility>
+
+#include "src/abstraction/event_stream.h"
 
 namespace t2m {
 
@@ -14,22 +17,17 @@ PredicateSequence abstract_event_trace(const Trace& trace, const AbstractionConf
     throw std::invalid_argument("event abstraction: trace needs at least two observations");
   }
 
-  PredicateSequence out;
-  for (std::size_t step = 0; step < trace.num_steps(); ++step) {
-    const Valuation& next = trace.step_next(step);
-    std::vector<ExprPtr> atoms;
-    std::string display;
-    for (VarIndex v = 0; v < schema.size(); ++v) {
-      atoms.push_back(
-          Expr::eq(Expr::var_ref(v, /*primed=*/true), Expr::constant(next[v])));
-      if (!display.empty()) display += " & ";
-      display += schema.format_value(v, next[v]);
-    }
-    const PredId id = out.vocab.intern(Expr::conj(std::move(atoms)));
-    if (out.display_names.size() <= id) out.display_names.resize(id + 1);
-    out.display_names[id] = display;
-    out.seq.push_back(id);
+  // The streaming abstractor memoises on the destination valuation, so each
+  // distinct event builds and interns its predicate once, however long the
+  // trace is.
+  EventStreamAbstractor abstractor;
+  std::vector<PredId> seq;
+  seq.reserve(trace.num_steps());
+  for (const Valuation& obs : trace.observations()) {
+    if (const auto id = abstractor.push(schema, obs)) seq.push_back(*id);
   }
+  PredicateSequence out = abstractor.take();
+  out.seq = std::move(seq);
   return out;
 }
 

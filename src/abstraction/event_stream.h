@@ -11,12 +11,12 @@
 
 namespace t2m {
 
-/// Push-based streaming counterpart of abstract_event_trace: feed one
-/// observation at a time; each observation after the first yields the PredId
-/// of the step ending there. The predicate expression, interning order and
-/// display names are byte-identical to running abstract_event_trace over the
-/// materialised trace (both depend only on the destination observation), so
-/// the two paths are interchangeable and differential-testable.
+/// Push-based event abstraction, shared by abstract_event_trace and the
+/// streaming readers: feed one observation at a time; each observation after
+/// the first yields the PredId of the step ending there. A step's predicate
+/// (the conjunction of destination atoms `v' = value`) and its display name
+/// depend only on the destination observation, so ids are interned in
+/// first-occurrence order whichever path drives the abstractor.
 class EventStreamAbstractor {
 public:
   /// `schema` is read per call (not stored) because streaming readers intern

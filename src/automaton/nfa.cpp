@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace t2m {
 
@@ -67,14 +68,34 @@ bool Nfa::accepts(std::span<const PredId> word) const {
 }
 
 bool Nfa::accepts_from(const std::set<StateId>& start, std::span<const PredId> word) const {
-  std::set<StateId> frontier = start;
+  if (word.empty()) return true;
+  // Group the transitions by predicate once, so each step scans only the
+  // transitions its symbol labels.
+  std::unordered_map<PredId, std::vector<Transition>> by_pred;
+  for (const Transition& t : transitions_) by_pred[t.pred].push_back(t);
+  // The frontier as per-state stamps in two arrays swapped each step: state
+  // s is in the frontier of step k when its stamp is k, so neither array is
+  // ever cleared. A start id at or beyond num_states_ has no outgoing
+  // transition, so leaving it out changes no verdict.
+  std::vector<std::size_t> frontier(num_states_, 0);
+  std::vector<std::size_t> next(num_states_, 0);
+  std::size_t step = 1;
+  for (const StateId s : start) {
+    if (s < num_states_) frontier[s] = step;
+  }
   for (const PredId symbol : word) {
-    std::set<StateId> next;
-    for (const Transition& t : transitions_) {
-      if (t.pred == symbol && frontier.count(t.src) > 0) next.insert(t.dst);
+    const auto labelled = by_pred.find(symbol);
+    if (labelled == by_pred.end()) return false;  // the symbol labels no transition
+    bool alive = false;
+    for (const Transition& t : labelled->second) {
+      if (frontier[t.src] == step) {
+        next[t.dst] = step + 1;
+        alive = true;
+      }
     }
-    if (next.empty()) return false;
-    frontier = std::move(next);
+    if (!alive) return false;
+    frontier.swap(next);
+    ++step;
   }
   return true;
 }

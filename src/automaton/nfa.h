@@ -66,7 +66,9 @@ public:
   /// NFA acceptance of a predicate word: some run from the initial state
   /// consumes every symbol. All states accept, so this is just "no dead end".
   bool accepts(std::span<const PredId> word) const;
-  /// Acceptance starting from an arbitrary state set.
+  /// Acceptance starting from an arbitrary state set. The empty word is
+  /// accepted from any set, the empty set included; ids at or beyond
+  /// num_states() have no transitions, so they never extend a run.
   bool accepts_from(const std::set<StateId>& start, std::span<const PredId> word) const;
 
   /// States reachable from the initial state.

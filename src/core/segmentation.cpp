@@ -2,32 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "src/obs/trace.h"
-#include "src/util/hash.h"
 
 namespace t2m {
 
 std::vector<Segment> segment_sequence(const std::vector<PredId>& seq, std::size_t w) {
   if (w == 0) throw std::invalid_argument("segment_sequence: window must be positive");
   T2M_SPAN("segment.sequence", "length", seq.size(), "window", w);
-  std::vector<Segment> out;
-  if (seq.empty()) return out;
-  if (seq.size() <= w) {
-    out.push_back(seq);
-    return out;
-  }
-  // Hashed window dedup: O(n * w) over million-event traces, versus the
-  // O(n * w * log n) of an ordered set. Output keeps first-occurrence order.
-  std::unordered_set<Segment, VectorHash> seen;
-  seen.reserve(seq.size() - w + 1);
-  for (std::size_t i = 0; i + w <= seq.size(); ++i) {
-    Segment window(seq.begin() + static_cast<std::ptrdiff_t>(i),
-                   seq.begin() + static_cast<std::ptrdiff_t>(i + w));
-    if (seen.insert(window).second) out.push_back(std::move(window));
-  }
-  return out;
+  StreamingSegmenter segmenter(w);
+  for (const PredId p : seq) segmenter.push(p);
+  return segmenter.take();
 }
 
 std::vector<Segment> whole_sequence(const std::vector<PredId>& seq) {
@@ -42,9 +27,8 @@ StreamingSegmenter::StreamingSegmenter(std::size_t w) : w_(w), dedup_(std::max<s
 std::vector<Segment> StreamingSegmenter::take() {
   if (dedup_.pushed() == 0) return {};
   if (dedup_.pushed() < w_) {
-    // Short stream: the whole sequence forms one segment, exactly as
-    // segment_sequence returns for seq.size() <= w. (pushed == w already
-    // produced that single window via the main path.)
+    // Short stream: the whole sequence forms one segment. (pushed == w
+    // already produced that single window via the main path.)
     return {dedup_.short_prefix()};
   }
   return dedup_.take_windows();

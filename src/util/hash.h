@@ -26,8 +26,8 @@ inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
 inline constexpr std::uint64_t kPolyHashBase = 0x100000001b3ULL;
 
 /// Hash functor for vectors of integral ids (predicate windows, words).
-/// Used by the hashed-window dedup in segmentation and the compliance and
-/// forbidden-chain caches, replacing ordered std::set keys on hot paths.
+/// Used by the compliance window sets, the sharded-ingest merge and the
+/// forbidden-chain cache, replacing ordered std::set keys on hot paths.
 struct VectorHash {
   template <typename T>
   std::size_t operator()(const std::vector<T>& v) const {

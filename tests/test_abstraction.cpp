@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 #include "src/abstraction/abstraction.h"
+#include "src/abstraction/event_abstraction.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/basic/integrator.h"
 #include "src/sim/serial/serial_port.h"
 #include "src/trace/recorder.h"
+#include "tests/reference_oracles.h"
 
 namespace t2m {
 namespace {
@@ -56,6 +61,69 @@ TEST(EventAbstraction, TooShortThrows) {
   rec.declare_cat("ev", {"a"}, "a");
   rec.commit();
   EXPECT_THROW(abstract_trace(rec.take()), std::invalid_argument);
+}
+
+TEST(EventAbstraction, MatchesPerStepReference) {
+  // Two categorical variables whose valuations repeat, interleaved with
+  // steps that change only one of them: the memoised abstraction must
+  // intern the same predicates, in the same order, with the same names, as
+  // building every step afresh.
+  TraceRecorder rec;
+  const VarIndex op = rec.declare_cat("op", {"rd", "wr", "idle"}, "idle");
+  const VarIndex dev = rec.declare_cat("dev", {"d0", "d1"}, "d0");
+  const std::pair<const char*, const char*> steps[] = {
+      {"rd", "d0"}, {"wr", "d0"}, {"rd", "d1"}, {"rd", "d0"}, {"wr", "d0"},
+      {"idle", "d1"}, {"rd", "d1"}, {"wr", "d1"}, {"rd", "d0"}, {"idle", "d1"},
+      {"idle", "d1"}, {"wr", "d0"}};
+  for (const auto& [o, d] : steps) {
+    rec.set_sym(op, o);
+    rec.set_sym(dev, d);
+    rec.commit();
+  }
+  const Trace trace = rec.take();
+  const PredicateSequence got = abstract_event_trace(trace, {});
+  const PredicateSequence want = oracle::abstract_event_trace(trace);
+
+  EXPECT_EQ(got.seq, want.seq);
+  ASSERT_EQ(got.vocab.size(), want.vocab.size());
+  for (PredId id = 0; id < want.vocab.size(); ++id) {
+    EXPECT_TRUE(ExprPtrEqual{}(got.vocab.expr(id), want.vocab.expr(id))) << "pred " << id;
+  }
+  EXPECT_EQ(got.display_names, want.display_names);
+  EXPECT_EQ(got.display_names.front(), "wr & d0");
+  EXPECT_LT(want.vocab.size(), want.seq.size());  // the valuations do repeat
+}
+
+TEST(EventAbstraction, RejectsLikeTheReference) {
+  const auto message = [](const auto& abstract, const Trace& trace) {
+    try {
+      abstract(trace);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  const auto library = [](const Trace& t) { return abstract_event_trace(t, {}); };
+  const auto reference = [](const Trace& t) { return oracle::abstract_event_trace(t); };
+
+  TraceRecorder numeric;
+  const VarIndex x = numeric.declare_int("x");
+  for (const std::int64_t v : {1, 2, 3}) {
+    numeric.set_int(x, v);
+    numeric.commit();
+  }
+  const Trace numeric_trace = numeric.take();
+  EXPECT_EQ(message(library, numeric_trace),
+            "event abstraction requires all-categorical schema");
+  EXPECT_EQ(message(library, numeric_trace), message(reference, numeric_trace));
+
+  TraceRecorder single;
+  single.declare_cat("ev", {"a"}, "a");
+  single.commit();
+  const Trace single_trace = single.take();
+  EXPECT_EQ(message(library, single_trace),
+            "event abstraction: trace needs at least two observations");
+  EXPECT_EQ(message(library, single_trace), message(reference, single_trace));
 }
 
 TEST(NumericAbstraction, CounterVocabularyMatchesFig5) {

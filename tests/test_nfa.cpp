@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "src/automaton/dot.h"
 #include "src/automaton/isomorphism.h"
 #include "src/automaton/nfa.h"
 #include "src/automaton/ops.h"
+#include "src/util/rng.h"
+#include "tests/reference_oracles.h"
 
 namespace t2m {
 namespace {
@@ -67,6 +72,67 @@ TEST(Nfa, AcceptsFromAnyState) {
   EXPECT_FALSE(m.accepts(word));  // not from the initial state
   std::set<StateId> everywhere = {0, 1, 2, 3};
   EXPECT_TRUE(m.accepts_from(everywhere, word));
+}
+
+TEST(Nfa, AcceptsFromMatchesSetFrontierReference) {
+  // Random NFAs, deterministic and not, against the std::set-frontier
+  // reference. Start sets may be empty or name ids past num_states(); words
+  // may be empty or use a symbol (kAlphabet) that labels no transition.
+  constexpr std::size_t kAlphabet = 4;
+  Rng rng(15);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t states = 1 + rng.below(6);
+    const bool deterministic = round % 2 == 0;
+    Nfa m(states, 0);
+    const std::size_t edges = rng.below(3 * states + 1);  // includes no transitions
+    for (std::size_t e = 0; e < edges; ++e) {
+      const StateId src = rng.below(states);
+      const PredId pred = rng.below(kAlphabet);
+      if (deterministic && !m.successors(src, pred).empty()) continue;
+      m.add_transition(src, pred, rng.below(states));
+    }
+    if (deterministic) {
+      ASSERT_TRUE(m.deterministic_per_predicate());
+    }
+
+    std::set<StateId> start;
+    const std::size_t start_size = rng.below(4);  // includes the empty set
+    for (std::size_t i = 0; i < start_size; ++i) start.insert(rng.below(states + 3));
+    std::vector<PredId> word(rng.below(8));  // includes the empty word
+    for (PredId& p : word) p = rng.below(kAlphabet + 1);
+
+    const bool want = oracle::accepts_from(m, start, word);
+    EXPECT_EQ(m.accepts_from(start, word), want)
+        << "round " << round << ": states=" << states << " edges=" << m.num_transitions()
+        << " start_size=" << start.size() << " word_length=" << word.size();
+    EXPECT_EQ(m.accepts(word), oracle::accepts_from(m, {m.initial()}, word)) << "round " << round;
+    ++(want ? accepted : rejected);
+  }
+  // Both verdicts occur, so neither side can pass by answering one way.
+  EXPECT_GT(accepted, 40u);
+  EXPECT_GT(rejected, 40u);
+}
+
+TEST(Nfa, AcceptsFromEdgeCases) {
+  const Nfa empty(3, 0);  // no transitions
+  const PredId one[] = {0};
+  EXPECT_TRUE(empty.accepts({}));
+  EXPECT_FALSE(empty.accepts(one));
+  EXPECT_FALSE(empty.accepts_from({0, 1, 2}, one));
+
+  const Nfa m = counter_like();
+  EXPECT_TRUE(m.accepts_from({}, {}));  // empty word from the empty set
+  EXPECT_FALSE(m.accepts_from({}, one));
+  const PredId unused[] = {0, 9};  // 9 labels no transition
+  EXPECT_FALSE(m.accepts_from({0, 1, 2, 3}, unused));
+  // Ids past num_states() have no transitions: they neither extend a run
+  // nor spoil one from a real state.
+  const PredId up[] = {0, 0};
+  EXPECT_FALSE(m.accepts_from({7, 1000}, up));
+  EXPECT_TRUE(m.accepts_from({0, 1000}, up));
+  EXPECT_TRUE(m.accepts_from({1000}, {}));
 }
 
 TEST(Nfa, Reachability) {

@@ -1,7 +1,10 @@
 // Differential tests for the streaming trace pipeline: LineReader (mmap and
 // istream fallback), streaming event abstraction, StreamingSegmenter,
 // ComplianceWindowBuilder and ModelLearner::learn_from_stream must be
-// byte-for-byte interchangeable with the in-memory reference path.
+// byte-for-byte interchangeable with the in-memory path. The in-memory
+// abstraction and segmentation run on the same abstractor and segmenter, so
+// those layers are checked against the independent references in
+// tests/reference_oracles.h.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "src/trace/mmap_io.h"
 #include "src/trace/text_io.h"
 #include "src/util/rng.h"
+#include "tests/reference_oracles.h"
 
 namespace t2m {
 namespace {
@@ -118,7 +122,10 @@ TEST(StreamingSegmenter, MatchesBatchOnRandomSequences) {
     const auto seq = random_sequence(rng, length, alphabet);
     StreamingSegmenter segmenter(w);
     for (const PredId p : seq) segmenter.push(p);
-    EXPECT_EQ(segmenter.take(), segment_sequence(seq, w))
+    const auto reference = oracle::segment_sequence(seq, w);
+    EXPECT_EQ(segmenter.take(), reference)
+        << "w=" << w << " length=" << length << " alphabet=" << alphabet;
+    EXPECT_EQ(segment_sequence(seq, w), reference)
         << "w=" << w << " length=" << length << " alphabet=" << alphabet;
   }
 }
@@ -316,7 +323,7 @@ TEST(StreamPipeline, TextTraceStreamMatchesBatchReader) {
   const TempFile file(os.str());
 
   const Trace read_back = read_trace_file(file.path());
-  const PredicateSequence reference = abstract_trace(read_back, {});
+  const PredicateSequence reference = oracle::abstract_event_trace(read_back);
 
   LineReader lines(file.path());
   TextTracePredStream stream(lines);
@@ -363,7 +370,7 @@ TEST(StreamPipeline, FtraceStreamHonoursTaskFilter) {
 
   std::istringstream is(content);
   const Trace reference_trace = read_ftrace(is, "pi_stress");
-  const PredicateSequence reference = abstract_trace(reference_trace, {});
+  const PredicateSequence reference = oracle::abstract_event_trace(reference_trace);
 
   LineReader lines(file.path());
   FtracePredStream stream(lines, "pi_stress");

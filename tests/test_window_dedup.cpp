@@ -1,7 +1,8 @@
 // StreamingWindowDedup under engineered rolling-hash collisions: distinct
 // windows sharing a polynomial hash must all survive (bucket chains compare
 // full contents), duplicates must still dedup, and the streaming segmenter
-// must stay byte-identical to the batch path on colliding inputs.
+// must stay byte-identical to the hash-free reference segmenter on colliding
+// inputs.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "src/core/segmentation.h"
 #include "src/util/hash.h"
 #include "src/util/window_dedup.h"
+#include "tests/reference_oracles.h"
 
 namespace t2m {
 namespace {
@@ -64,15 +66,15 @@ TEST(WindowDedupCollision, TrueDuplicateStillDedups) {
 
 TEST(WindowDedupCollision, SegmenterMatchesBatchOnCollidingIds) {
   // PredId is 64-bit, so the engineered collisions flow through the real
-  // segmenter; the batch path hashes differently (VectorHash), making this
-  // a genuine differential.
+  // segmenter; the reference segmenter compares whole windows in an ordered
+  // set and hashes nothing, making this a genuine differential.
   const std::vector<std::uint64_t> b = collider(5, 7, 1);
   const std::vector<std::uint64_t> c = collider(5, 7, 2);
   const std::vector<PredId> seq = {5, 7, b[0], b[1], 5, 7, c[0], c[1], 5, 7};
   for (const std::size_t w : {std::size_t{2}, std::size_t{3}}) {
     StreamingSegmenter segmenter(w);
     for (const PredId p : seq) segmenter.push(p);
-    EXPECT_EQ(segmenter.take(), segment_sequence(seq, w)) << "w=" << w;
+    EXPECT_EQ(segmenter.take(), oracle::segment_sequence(seq, w)) << "w=" << w;
   }
 }
 
