@@ -12,8 +12,9 @@ namespace t2m {
 /// interned PredId per trace step, in trace order, abstracting observations
 /// as they are consumed instead of materialising the full Trace. After
 /// exhaustion, take_preds() surrenders the vocabulary (and display names)
-/// accumulated while streaming — its `seq` is left empty; the consumer
-/// decides how much of the id sequence, if any, to retain.
+/// accumulated while streaming — its `seq` is left empty unless the stream
+/// reads a materialised sequence; the consumer decides how much of the id
+/// sequence, if any, to retain.
 class PredStream {
 public:
   virtual ~PredStream() = default;
@@ -32,8 +33,9 @@ public:
   virtual const Schema& schema() const = 0;
 };
 
-/// PredStream over an already-abstracted sequence; the reference adapter the
-/// differential tests drive the streaming learner with.
+/// PredStream over an already-abstracted sequence: how learn() and
+/// learn_from_sequence() feed the one ingest pass. take_preds() hands the
+/// sequence back whole, so those learns return P whatever the pass retains.
 class VectorPredStream : public PredStream {
 public:
   VectorPredStream(PredicateSequence preds, const Schema& schema)
@@ -44,11 +46,7 @@ public:
     return preds_.seq[pos_++];
   }
 
-  PredicateSequence take_preds() override {
-    PredicateSequence out = std::move(preds_);
-    out.seq.clear();
-    return out;
-  }
+  PredicateSequence take_preds() override { return std::move(preds_); }
 
   const Schema& schema() const override { return *schema_; }
 

@@ -19,16 +19,6 @@ constexpr const char* kComplianceSite = "compliance check";
 
 }  // namespace
 
-void ComplianceChecker::init_packing(PredId max_pred) {
-  bits_ = std::max(1u, static_cast<std::uint32_t>(std::bit_width(
-                           static_cast<std::uint64_t>(max_pred))));
-  packed_ = bits_ < 64 && l_ * bits_ <= 64;
-  if (packed_) {
-    const std::uint32_t width = static_cast<std::uint32_t>(l_) * bits_;
-    mask_ = width == 64 ? ~0ULL : (1ULL << width) - 1;
-  }
-}
-
 std::uint64_t ComplianceChecker::pack_word(const std::vector<PredId>& word) const {
   std::uint64_t key = 0;
   for (const PredId p : word) {
@@ -39,34 +29,9 @@ std::uint64_t ComplianceChecker::pack_word(const std::vector<PredId>& word) cons
 
 ComplianceChecker::ComplianceChecker(const std::vector<PredId>& seq, std::size_t l)
     : l_(l) {
-  // Mirror the original subsequences() edge cases: no windows for l == 0 or
-  // a sequence shorter than l. The empty window set is served by the
-  // generic hashed-vector path; every model word is missing.
-  if (l_ == 0 || seq.size() < l_) return;
-
-  PredId max_pred = 0;
-  for (const PredId p : seq) max_pred = std::max(max_pred, p);
-  init_packing(max_pred);
-
-  if (packed_) {
-    packed_windows_.reserve(seq.size());
-    // Rolling pack: shift each predicate in and mask to the window width;
-    // one pass, no per-window allocation.
-    std::uint64_t key = 0;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      key = ((key << bits_) | static_cast<std::uint64_t>(seq[i])) & mask_;
-      if (i + 1 >= l_) packed_windows_.insert(key);
-    }
-    trace_windows_ = packed_windows_.size();
-  } else {
-    vec_windows_.reserve(seq.size());
-    for (std::size_t i = 0; i + l_ <= seq.size(); ++i) {
-      vec_windows_.insert(std::vector<PredId>(
-          seq.begin() + static_cast<std::ptrdiff_t>(i),
-          seq.begin() + static_cast<std::ptrdiff_t>(i + l_)));
-    }
-    trace_windows_ = vec_windows_.size();
-  }
+  ComplianceWindowBuilder builder(l);
+  for (const PredId p : seq) builder.push(p);
+  *this = builder.finish();
 }
 
 bool ComplianceChecker::packed_usable(const Nfa& model) const {
@@ -211,7 +176,7 @@ ComplianceWindowBuilder::ComplianceWindowBuilder(std::size_t l)
 
 void ComplianceWindowBuilder::push(PredId p) {
   max_pred_ = std::max(max_pred_, p);
-  if (l_ == 0) return;  // no windows, matching the batch constructor
+  if (l_ == 0) return;  // no windows, as subsequences() has none
   dedup_.push(p);
 }
 
@@ -219,11 +184,17 @@ ComplianceChecker ComplianceChecker::from_windows(std::size_t l, std::size_t pus
                                                   std::vector<std::vector<PredId>> windows,
                                                   PredId max_pred) {
   ComplianceChecker checker(l);
-  // Mirror the batch constructor's edge cases: l == 0 or a stream shorter
-  // than l leaves an empty window set served by the generic path.
+  // Mirror the original subsequences() edge cases: no windows for l == 0 or
+  // a stream shorter than l. The empty window set is served by the generic
+  // hashed-vector path; every model word is missing.
   if (l == 0 || pushed < l) return checker;
-  checker.init_packing(max_pred);
+  // The window representation follows from the largest predicate id seen.
+  checker.bits_ = std::max(1u, static_cast<std::uint32_t>(std::bit_width(
+                                   static_cast<std::uint64_t>(max_pred))));
+  checker.packed_ = checker.bits_ < 64 && l * checker.bits_ <= 64;
   if (checker.packed_) {
+    const std::uint32_t width = static_cast<std::uint32_t>(l) * checker.bits_;
+    checker.mask_ = width == 64 ? ~0ULL : (1ULL << width) - 1;
     checker.packed_windows_.reserve(windows.size());
     for (const auto& window : windows) {
       checker.packed_windows_.insert(checker.pack_word(window));
@@ -239,8 +210,8 @@ ComplianceChecker ComplianceChecker::from_windows(std::size_t l, std::size_t pus
 
 ComplianceChecker ComplianceWindowBuilder::finish() {
   // Every stream element is covered by at least one window once count >= l,
-  // so the maximum over pushed ids equals the batch path's maximum over the
-  // whole sequence — the packed-representation decision is identical.
+  // so the maximum over pushed ids is the maximum over the windows — the
+  // packed-representation decision the sharded merge reaches too.
   const std::size_t pushed = dedup_.pushed();
   return ComplianceChecker::from_windows(l_, pushed, dedup_.take_windows(), max_pred_);
 }

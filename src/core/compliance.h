@@ -26,15 +26,17 @@ struct ComplianceResult {
 };
 
 /// One-pass compliance engine. The trace window set P_l is invariant across
-/// all refinement iterations of a learn run, so it is computed once at
-/// construction — with a rolling packed-key hash when the windows fit in 64
-/// bits, a hashed vector set otherwise — and every check() then streams the
+/// all refinement iterations of a learn run, so it is computed once, by
+/// ComplianceWindowBuilder — as packed 64-bit keys when the windows fit,
+/// a hashed vector set otherwise — and every check() then streams the
 /// candidate model's length-l paths by DFS, emitting only the missing words
 /// instead of materialising the full S_l set and running set_difference.
 /// Produces results identical to the original
 /// transition_sequences/subsequences/set_difference pipeline.
 class ComplianceChecker {
 public:
+  /// P_l of a materialised sequence: `seq` folded through a
+  /// ComplianceWindowBuilder.
   ComplianceChecker(const std::vector<PredId>& seq, std::size_t l);
 
   /// Builds a checker from an already-deduplicated window multiset, as the
@@ -67,11 +69,6 @@ private:
   friend class ComplianceWindowBuilder;
   explicit ComplianceChecker(std::size_t l) : l_(l) {}
 
-  /// Decides the window representation from the largest predicate id seen:
-  /// sets bits_, packed_ and mask_. One definition shared by the batch
-  /// constructor and ComplianceWindowBuilder::finish(), so the two
-  /// construction paths cannot drift apart.
-  void init_packing(PredId max_pred);
   /// Folds a window into its packed 64-bit key (requires packed_).
   std::uint64_t pack_word(const std::vector<PredId>& word) const;
 
@@ -93,8 +90,8 @@ private:
   std::size_t l_;
   std::size_t threads_ = 1;
   std::size_t trace_windows_ = 0;
-  /// Packed representation: each window folds into one 64-bit key, built by
-  /// a rolling shift over the sequence. Valid when l_ * bits_ <= 64.
+  /// Packed representation: each window folds into one 64-bit key
+  /// (pack_word). Valid when l_ * bits_ <= 64.
   bool packed_ = false;
   std::uint32_t bits_ = 0;   ///< bits per predicate id
   std::uint64_t mask_ = 0;   ///< low l_*bits_ bits
@@ -103,9 +100,9 @@ private:
   std::unordered_set<std::vector<PredId>, VectorHash> vec_windows_;
 };
 
-/// Streaming construction of the trace window set P_l: push one PredId per
-/// step and finish() yields a ComplianceChecker identical to constructing
-/// one from the materialised sequence. Windows are collected by the same
+/// Streaming construction of the trace window set P_l, the one body of it:
+/// push one PredId per step and finish() yields the ComplianceChecker.
+/// Windows are collected by the same
 /// StreamingWindowDedup mechanism the segmenter uses (O(1) rolling-hash
 /// updates, in-ring compares, allocation-free duplicates — see
 /// src/util/window_dedup.h). The packed/hashed representation decision

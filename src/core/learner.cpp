@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <type_traits>
 
 #include "src/abstraction/event_stream.h"
@@ -49,7 +50,8 @@ LearnResult failure_result(Status status) {
 
 /// The shell every public entry point runs its body in: applies the memory
 /// cap for the call, starts the run's total stopwatch, and turns a
-/// structured failure or an allocation failure into the returned verdict.
+/// structured failure, an allocation failure or a rejected input into the
+/// returned verdict.
 template <typename Body>
 LearnResult guarded_learn(const LearnerConfig& config, const Body& body) {
   const ScopedMemoryLimit mem_limit(config.max_memory_bytes);
@@ -60,6 +62,10 @@ LearnResult guarded_learn(const LearnerConfig& config, const Body& body) {
     return failure_result(e.status());
   } catch (const std::bad_alloc&) {
     return failure_result(Status::ResourceExhausted("allocation failed during learn"));
+  } catch (const std::invalid_argument& e) {
+    // Malformed input or configuration: a trace too short to abstract, a
+    // zero window.
+    return failure_result(Status::ParseError(e.what()));
   }
 }
 
@@ -69,6 +75,22 @@ RunBudget phase_budget(const LearnerConfig& config) {
   return RunBudget(config.timeout_seconds > 0 ? Deadline::after_seconds(config.timeout_seconds)
                                               : Deadline::never(),
                    config.stop);
+}
+
+/// The ingest pass's options for a learn under `config`. The pass gets its
+/// own full-timeout budget so a pathological scan or merge cannot hang past
+/// the configured budget; the search budget still starts after it.
+par::ShardedIngestOptions ingest_options(const LearnerConfig& config) {
+  par::ShardedIngestOptions options;
+  options.window = config.window;
+  options.compliance_length = config.compliance_length;
+  options.threads = config.threads;
+  options.segmented = config.segmented;
+  // Trace acceptance and the non-segmented encoding read the whole
+  // sequence; every other run keeps only the windows.
+  options.keep_sequence = config.require_trace_acceptance || !config.segmented;
+  options.budget = phase_budget(config);
+  return options;
 }
 
 }  // namespace
@@ -94,111 +116,47 @@ LearnResult ModelLearner::learn(const Trace& trace, AbstractionMode mode) const 
   return guarded_learn(config_, [&](const Stopwatch& total) {
     AbstractionConfig abs_config = config_.abstraction;
     abs_config.window = config_.window;
-    const Stopwatch abstraction_watch;
-    PredicateSequence preds = abstract_trace(trace, abs_config, mode);
-    return search_sequence(std::move(preds), trace.schema(),
-                           abstraction_watch.elapsed_seconds(), total);
+    VectorPredStream stream(abstract_trace(trace, abs_config, mode), trace.schema());
+    return run_search(par::ingest_stream(stream, ingest_options(config_)), total);
   });
 }
 
 LearnResult ModelLearner::learn_from_sequence(PredicateSequence preds,
                                               const Schema& schema) const {
   return guarded_learn(config_, [&](const Stopwatch& total) {
-    return search_sequence(std::move(preds), schema, 0.0, total);
+    VectorPredStream stream(std::move(preds), schema);
+    return run_search(par::ingest_stream(stream, ingest_options(config_)), total);
   });
 }
 
 LearnResult ModelLearner::learn_from_stream(PredStream& stream) const {
-  return guarded_learn(config_,
-                       [&](const Stopwatch& total) { return search_stream(stream, total); });
+  return guarded_learn(config_, [&](const Stopwatch& total) {
+    return run_search(par::ingest_stream(stream, ingest_options(config_)), total);
+  });
 }
 
 LearnResult ModelLearner::learn_from_ftrace(const std::string& path,
                                             const std::string& task_filter) const {
   return guarded_learn(config_, [&](const Stopwatch& total) {
+    par::ShardedIngestOptions options = ingest_options(config_);
+    options.task_filter = task_filter;
     if (config_.threads <= 1) {
       LineReader lines(path);
       FtracePredStream stream(lines, task_filter);
-      return search_stream(stream, total);
+      return run_search(par::ingest_stream(stream, options), total);
     }
-    const Stopwatch pass_watch;
-    par::ShardedIngestOptions options;
-    options.window = config_.window;
-    options.compliance_length = config_.compliance_length;
-    options.threads = config_.threads;
-    options.segmented = config_.segmented;
-    options.keep_sequence = config_.require_trace_acceptance || !config_.segmented;
-    options.task_filter = task_filter;
-    // The ingest gets its own full-timeout budget so a pathological scan or
-    // merge cannot hang past the configured budget; the search budget still
-    // starts after ingest, matching the other entry points.
-    options.budget = phase_budget(config_);
-    par::ShardedIngestResult ingest = par::sharded_ftrace_ingest_file(path, options);
-    log_debug() << "learner: sharded ingest over " << ingest.shards_used << " shard(s), "
-                << ingest.sequence_length << " steps";
-
-    std::vector<Segment> segments = config_.segmented
-                                        ? std::move(ingest.segments)
-                                        : whole_sequence(ingest.preds.seq);
-    const double pass_seconds = pass_watch.elapsed_seconds();
-    return run_search(std::move(ingest.preds), ingest.sequence_length, std::move(segments),
-                      std::move(ingest.compliance), ingest.schema, pass_seconds, total);
+    return run_search(par::sharded_ftrace_ingest_file(path, options), total);
   });
 }
 
-LearnResult ModelLearner::search_sequence(PredicateSequence preds, const Schema& schema,
-                                          double abstraction_seconds,
-                                          const Stopwatch& total) const {
-  const std::size_t sequence_length = preds.length();
-  std::vector<Segment> segments = config_.segmented
-                                      ? segment_sequence(preds.seq, config_.window)
-                                      : whole_sequence(preds.seq);
-  // The trace window set is invariant across all refinement iterations:
-  // compute it once and let every compliance check stream against it.
-  ComplianceChecker compliance_checker(preds.seq, config_.compliance_length);
-  return run_search(std::move(preds), sequence_length, std::move(segments),
-                    std::move(compliance_checker), schema, abstraction_seconds, total);
-}
-
-LearnResult ModelLearner::search_stream(PredStream& stream, const Stopwatch& total) const {
-  // One pass: every pulled id goes simultaneously into the window segmenter
-  // and the compliance window builder, so P_l and the segment set come from
-  // the same stream the abstraction interns its predicates on. The full id
-  // sequence is retained only when a downstream consumer needs it.
-  const bool keep_sequence = config_.require_trace_acceptance || !config_.segmented;
-  const Stopwatch pass_watch;
-  // Non-segmented runs take their single segment from the retained sequence;
-  // feeding the segmenter would only burn CPU and memory on a discarded set.
-  std::optional<StreamingSegmenter> segmenter;
-  if (config_.segmented) segmenter.emplace(config_.window);
-  ComplianceWindowBuilder window_builder(config_.compliance_length);
-  std::vector<PredId> seq;
-  std::size_t sequence_length = 0;
-  {
-    T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
-    while (const auto id = stream.next()) {
-      if (segmenter) segmenter->push(*id);
-      window_builder.push(*id);
-      if (keep_sequence) seq.push_back(*id);
-      ++sequence_length;
-    }
-    pass_span.arg("steps", sequence_length);
-  }
-  PredicateSequence preds = stream.take_preds();
-  preds.seq = std::move(seq);
-  std::vector<Segment> segments = segmenter ? segmenter->take() : whole_sequence(preds.seq);
-  ComplianceChecker compliance_checker = window_builder.finish();
-  const double pass_seconds = pass_watch.elapsed_seconds();
-  return run_search(std::move(preds), sequence_length, std::move(segments),
-                    std::move(compliance_checker), stream.schema(), pass_seconds, total);
-}
-
-LearnResult ModelLearner::run_search(PredicateSequence preds, std::size_t sequence_length,
-                                     std::vector<Segment> segments,
-                                     ComplianceChecker compliance_checker,
-                                     const Schema& schema, double ingest_seconds,
+LearnResult ModelLearner::run_search(par::ShardedIngestResult ingest,
                                      const Stopwatch& total) const {
-  compliance_checker.set_threads(config_.threads);
+  // Everything before the search — abstraction and the ingest pass — is the
+  // run's preparation, reported as abstraction_seconds.
+  const double prep_seconds = total.elapsed_seconds();
+  log_debug() << "learner: ingest over " << ingest.shards_used << " shard(s), "
+              << ingest.sequence_length << " steps";
+  ingest.compliance.set_threads(config_.threads);
   // The timeout budgets the CEGIS search: its clock starts here, after
   // ingest, segmentation and P_l construction, so every entry point gives
   // the search the same budget on the same trace.
@@ -207,15 +165,16 @@ LearnResult ModelLearner::run_search(PredicateSequence preds, std::size_t sequen
   // enabled) against this run's deadline and publish the final counters into
   // the metrics registry on every exit path.
   if (obs::Progress::global().enabled()) obs::Progress::global().begin_run(budget.deadline());
-  T2M_SPAN_SCOPE(run_span, "learn.run", "segments", segments.size(), "portfolio",
+  T2M_SPAN_SCOPE(run_span, "learn.run", "segments", ingest.segments.size(), "portfolio",
                  config_.portfolio);
   LearnResult result =
       config_.portfolio > 1
-          ? run_portfolio(preds, sequence_length, segments, compliance_checker, schema,
-                          budget, total)
-          : run_search_single(std::move(preds), sequence_length, segments,
-                              compliance_checker, schema, budget, total);
-  result.stats.abstraction_seconds = ingest_seconds;
+          ? run_portfolio(ingest.preds, ingest.sequence_length, ingest.segments,
+                          ingest.compliance, ingest.schema, budget, total)
+          : run_search_single(std::move(ingest.preds), ingest.sequence_length,
+                              ingest.segments, ingest.compliance, ingest.schema, budget,
+                              total);
+  result.stats.abstraction_seconds = prep_seconds;
   result.stats.total_seconds = total.elapsed_seconds();
   run_span.arg("success", result.success);
   run_span.arg("states", result.states);

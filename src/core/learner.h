@@ -13,6 +13,7 @@
 #include "src/core/compliance.h"
 #include "src/core/csp_encoder.h"
 #include "src/core/segmentation.h"
+#include "src/parallel/sharded_ingest.h"
 #include "src/trace/trace.h"
 #include "src/util/stopwatch.h"
 
@@ -164,6 +165,8 @@ struct any {};  ///< flags: logical or, set when any worker set it
   /* True when the trace-acceptance strengthening was abandoned after          \
      max_acceptance_blocks sibling models (the result is still compliant). */  \
   X(bool, acceptance_relaxed, any)                                             \
+  /* Preparation before the search: abstraction plus the one ingest pass       \
+     (segments, P_l, the retained sequence), on every entry point. */          \
   X(double, abstraction_seconds, max)                                          \
   X(double, construction_seconds, max)                                         \
   X(double, total_seconds, max)
@@ -232,18 +235,15 @@ public:
   /// Learns from a pre-abstracted predicate sequence.
   LearnResult learn_from_sequence(PredicateSequence preds, const Schema& schema) const;
 
-  /// Streaming path for traces too long to materialise: one pass over
-  /// `stream` feeds the unique-window segmenter and the compliance window
-  /// builder directly, so peak memory is O(window + dedup set) instead of
-  /// O(trace). The compact id sequence is additionally retained only when
-  /// the configuration needs it (trace acceptance on, or non-segmented
-  /// encoding). The CEGIS search then runs on byte-identical artefacts to
-  /// the in-memory path, so both produce the same model
-  /// (differential-tested in tests/test_stream_pipeline.cpp).
+  /// Learns from a predicate stream, for traces too long to materialise:
+  /// peak memory is O(window + dedup set), plus the id sequence when trace
+  /// acceptance or the non-segmented encoding needs it. Every entry point
+  /// runs this one ingest pass (par::ingest_stream); learn() and
+  /// learn_from_sequence() run it over a VectorPredStream.
   LearnResult learn_from_stream(PredStream& stream) const;
 
-  /// Learns from an on-disk ftrace log. threads <= 1 runs the streaming
-  /// one-pass pipeline; threads > 1 runs the sharded parallel ingest
+  /// Learns from an on-disk ftrace log. threads <= 1 runs the one pass over
+  /// an mmap line cursor; threads > 1 runs the sharded parallel ingest
   /// (src/parallel/sharded_ingest.h), which produces byte-identical
   /// artefacts and therefore the same model — differential-tested in
   /// tests/test_sharded_ingest.cpp.
@@ -253,23 +253,12 @@ public:
   const LearnerConfig& config() const { return config_; }
 
 private:
-  /// Entry-point bodies below the guarded shell (learner.cpp): abstraction
-  /// output or a one-pass stream into the segment list and P_l, then the
-  /// search. `total` is the run's stopwatch.
-  LearnResult search_sequence(PredicateSequence preds, const Schema& schema,
-                              double abstraction_seconds, const Stopwatch& total) const;
-  LearnResult search_stream(PredStream& stream, const Stopwatch& total) const;
-
   /// The iterative SAT search + compliance refinement every entry point ends
-  /// in: starts the search budget, then dispatches to the portfolio driver
-  /// when config().portfolio > 1, else runs one configuration.
-  /// `sequence_length` is |P|; preds.seq may be empty in streaming mode
-  /// (acceptance is then skipped). `ingest_seconds` is reported as
-  /// LearnStats::abstraction_seconds.
-  LearnResult run_search(PredicateSequence preds, std::size_t sequence_length,
-                         std::vector<Segment> segments, ComplianceChecker compliance_checker,
-                         const Schema& schema, double ingest_seconds,
-                         const Stopwatch& total) const;
+  /// in, over its ingest artefacts: starts the search budget, then
+  /// dispatches to the portfolio driver when config().portfolio > 1, else
+  /// runs one configuration. `total` is the run's stopwatch; its reading on
+  /// entry is reported as LearnStats::abstraction_seconds.
+  LearnResult run_search(par::ShardedIngestResult ingest, const Stopwatch& total) const;
 
   /// One configuration's CEGIS loop (the pre-portfolio run_search body).
   /// `segments` is shared read-only — portfolio lanes all encode from the

@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/abstraction/event_stream.h"
 #include "src/obs/trace.h"
@@ -122,26 +121,14 @@ void scan_shard(std::string_view region, bool fresh_start,
   }
 }
 
-/// Order-preserving distinct-window accumulator for the merge: insert keeps
-/// the first occurrence, exactly as the sequential dedup would have. Stored
-/// as hash buckets of indices into the ordered list (the window_dedup.h
-/// layout), so each distinct window is held once, not once per container.
-class OrderedWindowMerge {
-public:
-  void insert(std::vector<PredId> window) {
-    auto& bucket = buckets_[VectorHash{}(window)];
-    for (const std::uint32_t idx : bucket) {
-      if (order_[idx] == window) return;
-    }
-    bucket.push_back(static_cast<std::uint32_t>(order_.size()));
-    order_.push_back(std::move(window));
-  }
-  std::vector<std::vector<PredId>> take() { return std::move(order_); }
-
-private:
-  std::unordered_map<std::size_t, std::vector<std::uint32_t>> buckets_;
-  std::vector<std::vector<PredId>> order_;
-};
+/// Inserts `window` into a merge's index unless it already holds an equal
+/// one: the first occurrence is kept, exactly as the sequential dedup would
+/// have kept it.
+void merge_insert(WindowIndex<PredId>& merged, std::vector<PredId> window) {
+  merged.insert(
+      VectorHash{}(window), [&](const std::vector<PredId>& held) { return held == window; },
+      [&] { return std::move(window); });
+}
 
 /// Emits the length-L windows that straddle the cut between the processed
 /// stream (whose last up-to-(L-1) predicates are `tail`) and the next
@@ -149,7 +136,7 @@ private:
 /// inside the tail were emitted at an earlier cut; windows fully inside the
 /// lead are in the shard's local list.
 void emit_cross_windows(const std::vector<PredId>& tail, const std::vector<PredId>& lead,
-                        std::size_t L, OrderedWindowMerge& out) {
+                        std::size_t L, WindowIndex<PredId>& out) {
   if (L == 0 || tail.empty() || lead.empty()) return;
   ScratchArena& scratch = local_scratch();
   scratch.reset();
@@ -160,7 +147,7 @@ void emit_cross_windows(const std::vector<PredId>& tail, const std::vector<PredI
   // advance_tail caps the tail at L-1 elements, so every enumerated window
   // necessarily crosses into the lead — none can sit fully inside the tail.
   for (std::size_t p = 0; p < tail.size() && p + L <= tape_len; ++p) {
-    out.insert(std::vector<PredId>(tape + p, tape + p + L));
+    merge_insert(out, std::vector<PredId>(tape + p, tape + p + L));
   }
 }
 
@@ -176,36 +163,46 @@ void advance_tail(std::vector<PredId>& tail, const std::vector<PredId>& take,
   }
 }
 
-/// Sequential reference pipeline over the same region (also the fallback for
-/// degenerate inputs): LineReader -> FtracePredStream -> window builders,
-/// exactly what ModelLearner::learn_from_stream runs.
+/// The single-shard path (also the fallback for degenerate inputs): the
+/// one pass over an FtracePredStream of the whole region.
 ShardedIngestResult sequential_ingest(std::string_view content,
                                       const ShardedIngestOptions& opt) {
-  ShardedIngestResult result;
-  result.shards_used = 1;
   LineReader lines(content, LineReader::from_memory);
   FtracePredStream stream(lines, opt.task_filter);
-  std::optional<StreamingSegmenter> segmenter;
-  if (opt.segmented) segmenter.emplace(opt.window);
-  ComplianceWindowBuilder builder(opt.compliance_length);
-  std::vector<PredId> seq;
-  BudgetPoll poll(opt.budget, kIngestPollInterval);
-  while (const auto id = stream.next()) {
-    poll.check(kIngestSite);
-    if (segmenter) segmenter->push(*id);
-    builder.push(*id);
-    if (opt.keep_sequence) seq.push_back(*id);
-    ++result.sequence_length;
-  }
-  result.preds = stream.take_preds();
-  result.preds.seq = std::move(seq);
-  result.schema = stream.schema();
-  if (segmenter) result.segments = segmenter->take();
-  result.compliance = builder.finish();
-  return result;
+  return ingest_stream(stream, opt);
 }
 
 }  // namespace
+
+ShardedIngestResult ingest_stream(PredStream& stream, const ShardedIngestOptions& options) {
+  ShardedIngestResult result;
+  result.shards_used = 1;
+  // Non-segmented runs take their single segment from the retained
+  // sequence; feeding the segmenter would only burn CPU and memory on a
+  // discarded set.
+  std::optional<StreamingSegmenter> segmenter;
+  if (options.segmented) segmenter.emplace(options.window);
+  ComplianceWindowBuilder builder(options.compliance_length);
+  std::vector<PredId> seq;
+  BudgetPoll poll(options.budget, kIngestPollInterval);
+  {
+    T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
+    while (const auto id = stream.next()) {
+      poll.check(kIngestSite);
+      if (segmenter) segmenter->push(*id);
+      builder.push(*id);
+      if (options.keep_sequence) seq.push_back(*id);
+      ++result.sequence_length;
+    }
+    pass_span.arg("steps", result.sequence_length);
+  }
+  result.preds = stream.take_preds();
+  if (options.keep_sequence) result.preds.seq = std::move(seq);
+  result.schema = stream.schema();
+  result.segments = segmenter ? segmenter->take() : whole_sequence(result.preds.seq);
+  result.compliance = builder.finish();
+  return result;
+}
 
 ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
                                           const ShardedIngestOptions& options) {
@@ -319,7 +316,7 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
 
   const auto merge_windows = [&](std::size_t L,
                                  const auto member) -> std::vector<std::vector<PredId>> {
-    OrderedWindowMerge merged;
+    WindowIndex<PredId> merged;
     std::vector<PredId> tail;
     BudgetPoll poll(options.budget, kIngestPollInterval);
     for (std::size_t s = 0; s < scans.size(); ++s) {
@@ -329,7 +326,7 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
         std::vector<PredId> window;
         window.reserve(local_window.size());
         for (const std::uint32_t lid : local_window) window.push_back(remap[s][lid]);
-        merged.insert(std::move(window));
+        merge_insert(merged, std::move(window));
       }
       advance_tail(tail, slice_back(rear_global[s], L > 0 ? L - 1 : 0), L);
     }
@@ -375,6 +372,7 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
       }
     }
   }
+  if (!options.segmented) result.segments = whole_sequence(result.preds.seq);
 
   return result;
 }

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/abstraction/pred_stream.h"
 #include "src/abstraction/predicate.h"
 #include "src/base/schema.h"
 #include "src/core/compliance.h"
@@ -23,42 +24,46 @@ struct ShardedIngestOptions {
   /// cut placement on small inputs — any count yields identical artefacts.
   std::size_t shards = 0;
   /// Collect the segmentation window set (off for non-segmented learns,
-  /// which take the whole retained sequence as one segment instead).
+  /// whose one segment is the whole retained sequence instead).
   bool segmented = true;
   /// Retain the full interned id sequence (needed by trace acceptance and
   /// the non-segmented encoding; costs O(events) extra memory).
   bool keep_sequence = false;
   /// ftrace task filter (empty = keep all), as FtracePredStream.
   std::string task_filter;
-  /// Cooperative limits: shard scans poll it per line and the merge per
-  /// window (the clock every few thousand); a stop throws
-  /// StatusError(deadline_exceeded or cancelled) from sharded_ftrace_ingest
-  /// (the worker throw propagates through TaskGroup::wait). Defaults to
-  /// never stopping.
+  /// Cooperative limits: the one pass polls it per step, shard scans per
+  /// line and the merge per window (the clock every few thousand); a stop
+  /// throws StatusError(deadline_exceeded or cancelled) (a shard worker's
+  /// throw propagates through TaskGroup::wait). Defaults to never stopping.
   RunBudget budget;
 };
 
-/// The one-pass ingest artefacts the CEGIS search runs on. Byte-identical to
-/// the sequential streaming path (LineReader -> FtracePredStream ->
-/// StreamingSegmenter + ComplianceWindowBuilder) for every shard count — the
-/// merge reproduces the sequential first-occurrence orders exactly; see
-/// docs/parallel.md for the determinism contract.
+/// The ingest artefacts the CEGIS search runs on: what ingest_stream builds
+/// in one pass, and what the sharded ingest rebuilds byte-identically for
+/// every shard count — the merge reproduces the one pass's first-occurrence
+/// orders exactly; see docs/parallel.md for the determinism contract.
 struct ShardedIngestResult {
   PredicateSequence preds;  ///< vocabulary + display names (+ seq when kept)
   Schema schema;
   std::vector<Segment> segments;
   ComplianceChecker compliance{std::vector<PredId>{}, 0};
   std::size_t sequence_length = 0;  ///< |P|, whether or not seq was retained
-  std::size_t shards_used = 0;      ///< 1 when the sequential path served the call
+  std::size_t shards_used = 0;      ///< 1 when ingest_stream served the call
 };
+
+/// The one ingest pass every learn entry point runs: each id pulled from
+/// `stream` goes into the segmenter, the compliance window builder and,
+/// when kept, the retained sequence. Throws what the stream throws,
+/// std::invalid_argument for window == 0, StatusError on a budget stop.
+ShardedIngestResult ingest_stream(PredStream& stream, const ShardedIngestOptions& options);
 
 /// Sharded parallel ingest of an ftrace log held in memory (normally a
 /// MappedFile view): the content is cut at line boundaries into roughly
 /// equal shards, each scanned concurrently by its own line cursor, local
 /// interner and window dedups; a deterministic sequential merge then
 /// rebuilds the global vocabulary, segment list, and compliance window set.
-/// Throws std::invalid_argument for window == 0 or a trace with fewer than
-/// two observations (mirroring the sequential pipeline's errors).
+/// One shard runs ingest_stream instead. Throws std::invalid_argument for
+/// window == 0 or a trace with fewer than two observations.
 ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
                                           const ShardedIngestOptions& options);
 

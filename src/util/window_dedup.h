@@ -2,13 +2,86 @@
 #define T2M_UTIL_WINDOW_DEDUP_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/memory_accountant.h"
 #include "src/util/hash.h"
 
 namespace t2m {
+
+/// Order-preserving set of distinct windows, behind StreamingWindowDedup and
+/// the sharded-ingest merge: the windows in first-occurrence order, one
+/// stored hash each, and an open-addressed slot table (power-of-two size,
+/// linear probing, at most half full) of window index + 1, 0 = empty. The
+/// caller supplies a well-mixed hash and a full comparison for collisions,
+/// so a duplicate costs one probe run and zero allocations.
+template <typename T>
+class WindowIndex {
+public:
+  WindowIndex() : slots_(kInitialSlots, 0) {}
+
+  /// Appends the candidate window unless a stored one with the same hash
+  /// `matches` it. `make()` materialises the candidate, only when it is
+  /// new. Returns true when the candidate was appended.
+  template <typename Matches, typename Make>
+  bool insert(std::uint64_t hash, const Matches& matches, const Make& make) {
+    std::size_t i = probe_start(hash);
+    for (; slots_[i] != 0; i = next(i)) {
+      const std::uint32_t idx = slots_[i] - 1;
+      if (hashes_[idx] == hash && matches(windows_[idx])) return false;
+    }
+    if (2 * (windows_.size() + 1) > slots_.size()) {
+      grow();
+      i = probe_start(hash);
+      while (slots_[i] != 0) i = next(i);
+    }
+    slots_[i] = static_cast<std::uint32_t>(windows_.size() + 1);
+    hashes_.push_back(hash);
+    windows_.push_back(make());
+    element_bytes_ += windows_.back().size() * sizeof(T);
+    // Charge growth in batches, keeping atomics off the hot path: a cap is
+    // enforced with at most 256 KiB of slack per index.
+    const std::size_t bytes = footprint();
+    if (bytes >= charge_.charged() + kChargeBatchBytes) charge_.set_charged(bytes);
+    return true;
+  }
+
+  /// Distinct windows so far, in first-occurrence order.
+  const std::vector<std::vector<T>>& windows() const { return windows_; }
+  /// Surrenders the window list; the index is spent afterwards.
+  std::vector<std::vector<T>> take() { return std::move(windows_); }
+
+private:
+  /// An upper bound on one heap block's allocator header plus rounding.
+  static constexpr std::size_t kAllocOverhead = 32;
+  static constexpr std::size_t kChargeBatchBytes = 256u << 10;
+  static constexpr std::size_t kInitialSlots = 16;
+
+  std::size_t probe_start(std::uint64_t hash) const { return hash & (slots_.size() - 1); }
+  std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  void grow() {
+    slots_.assign(slots_.size() * 2, 0);
+    for (std::size_t idx = 0; idx < hashes_.size(); ++idx) {
+      std::size_t i = probe_start(hashes_[idx]);
+      while (slots_[i] != 0) i = next(i);
+      slots_[i] = static_cast<std::uint32_t>(idx + 1);
+    }
+  }
+
+  /// Upper bound on the heap bytes held: windows, hashes and slots.
+  std::size_t footprint() const {
+    return windows_.capacity() * sizeof(std::vector<T>) + element_bytes_ +
+           windows_.size() * kAllocOverhead + hashes_.capacity() * sizeof(std::uint64_t) +
+           slots_.capacity() * sizeof(std::uint32_t);
+  }
+
+  std::vector<std::vector<T>> windows_;
+  std::vector<std::uint64_t> hashes_;  ///< hashes_[i] belongs to windows_[i]
+  std::vector<std::uint32_t> slots_;   ///< window index + 1; 0 = empty
+  std::size_t element_bytes_ = 0;
+  ChargeTracker charge_;  ///< released when the index is destroyed
+};
 
 /// One-pass dedup of the sliding length-w windows of a stream: push one
 /// element at a time; each completed window is checked against the distinct
@@ -21,12 +94,13 @@ namespace t2m {
 /// - a polynomial rolling hash (kPolyHashBase, mod 2^64) is updated in O(1)
 ///   per element — the expiring element's contribution base^(w-1) is
 ///   subtracted before the new one is shifted in;
-/// - per-hash bucket chains index into the distinct-window list, and a
-///   candidate window is compared element-wise straight out of the ring, so
-///   the common duplicate case costs one O(w) compare and zero allocations.
+/// - a WindowIndex keyed by the mixed rolling hash holds the distinct
+///   windows, and a candidate window is compared element-wise straight out
+///   of the ring, so the common duplicate case costs one O(w) compare and
+///   zero allocations.
 ///
-/// Memory: the ring + the distinct windows + one bucket entry per distinct
-/// window — O(w + dedup set), independent of stream length.
+/// Memory: the ring + the index — O(w + dedup set), independent of stream
+/// length.
 template <typename T>
 class StreamingWindowDedup {
 public:
@@ -46,30 +120,22 @@ public:
     ring_[slot] = value;
     ++count_;
     if (count_ < w_) return;
-    // A full window ends here: dedup against the distinct windows sharing
-    // its hash, materialise only when new.
-    auto& bucket = buckets_[hash_mix(rolling_)];
-    for (const std::uint32_t idx : bucket) {
-      if (window_equals(windows_[idx])) return;
-    }
-    bucket.push_back(static_cast<std::uint32_t>(windows_.size()));
-    std::vector<T> window(w_);
-    for (std::size_t i = 0; i < w_; ++i) window[i] = ring_[(count_ + i) % w_];
-    windows_.push_back(std::move(window));
-    // Charge the dedup set's growth in batches: per-window accountant calls
-    // would put two atomics on the ingest hot path; pending bytes are flushed
-    // every 256 KiB, so a configured cap is enforced with at most that much
-    // slack per dedup instance.
-    pending_bytes_ += w_ * sizeof(T) + kPerWindowOverhead;
-    if (pending_bytes_ >= kChargeBatchBytes) flush_charge();
+    // A full window ends here: dedup it, materialise only when new.
+    index_.insert(
+        hash_mix(rolling_), [this](const std::vector<T>& window) { return in_ring(window); },
+        [this] {
+          std::vector<T> window(w_);
+          for (std::size_t i = 0; i < w_; ++i) window[i] = ring_[(count_ + i) % w_];
+          return window;
+        });
   }
 
   /// Total elements pushed.
   std::size_t pushed() const { return count_; }
   /// Distinct windows collected so far, in first-occurrence order.
-  const std::vector<std::vector<T>>& windows() const { return windows_; }
+  const std::vector<std::vector<T>>& windows() const { return index_.windows(); }
   /// Surrenders the distinct-window list; the dedup is spent afterwards.
-  std::vector<std::vector<T>> take_windows() { return std::move(windows_); }
+  std::vector<std::vector<T>> take_windows() { return index_.take(); }
 
   /// The whole stream in push order; only valid while pushed() <= w (the
   /// ring has not wrapped). Serves the short-stream case where the caller
@@ -79,23 +145,14 @@ public:
   }
 
 private:
-  bool window_equals(const std::vector<T>& window) const {
-    // The current window spans pushes count_-w .. count_-1; its oldest
-    // element sits at ring index count_ % w (the next write position).
+  /// Whether `window` equals the current window, which spans pushes
+  /// count_-w .. count_-1; its oldest element sits at ring index count_ % w
+  /// (the next write position).
+  bool in_ring(const std::vector<T>& window) const {
     for (std::size_t i = 0; i < w_; ++i) {
       if (ring_[(count_ + i) % w_] != window[i]) return false;
     }
     return true;
-  }
-
-  /// Rough per-distinct-window footprint beyond the elements themselves:
-  /// the vector header in windows_ plus a bucket-chain entry.
-  static constexpr std::size_t kPerWindowOverhead = 32;
-  static constexpr std::size_t kChargeBatchBytes = 256u << 10;
-
-  void flush_charge() {
-    charge_.set_charged(charge_.charged() + pending_bytes_);
-    pending_bytes_ = 0;
   }
 
   std::size_t w_;
@@ -103,10 +160,7 @@ private:
   std::size_t count_ = 0;
   std::uint64_t rolling_ = 0;
   std::uint64_t drop_coeff_ = 1;  ///< kPolyHashBase^(w-1)
-  std::vector<std::vector<T>> windows_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
-  std::size_t pending_bytes_ = 0;
-  ChargeTracker charge_;  ///< released when the dedup is destroyed
+  WindowIndex<T> index_;
 };
 
 }  // namespace t2m

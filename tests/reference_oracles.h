@@ -4,12 +4,15 @@
 // rolling-hash StreamingSegmenter, and Nfa::accepts_from walks flag arrays
 // over transitions grouped by predicate. Comparing any of those with another
 // library path would compare the code with itself, so the tests compare with
-// these: the naive per-step abstraction, a hash-free segmenter and a
-// std::set-frontier acceptance. Keep them simple rather than fast.
+// these: the naive per-step abstraction, a hash-free segmenter, a
+// std::set-frontier acceptance and the materialise-and-subtract compliance
+// check. Keep them simple rather than fast.
 
 #ifndef T2M_TESTS_REFERENCE_ORACLES_H
 #define T2M_TESTS_REFERENCE_ORACLES_H
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -19,6 +22,8 @@
 
 #include "src/abstraction/predicate.h"
 #include "src/automaton/nfa.h"
+#include "src/automaton/ops.h"
+#include "src/core/compliance.h"
 #include "src/expr/expr.h"
 #include "src/trace/trace.h"
 
@@ -88,6 +93,24 @@ inline bool accepts_from(const Nfa& nfa, const std::set<StateId>& start,
     frontier = std::move(next);
   }
   return true;
+}
+
+/// The compliance check as the seed ran it: materialise the model's words
+/// S_l (transition_sequences) and the trace windows P_l (subsequences) in
+/// ordered sets, then subtract. The reference semantics in src/automaton/ops.
+inline ComplianceResult check_compliance(const Nfa& model, const std::vector<PredId>& seq,
+                                         std::size_t l) {
+  ComplianceResult result;
+  const auto model_seqs = transition_sequences(model, l);
+  const auto trace_seqs = subsequences(seq, l);
+  result.model_sequences = model_seqs.size();
+  result.trace_sequences = trace_seqs.size();
+  std::set_difference(model_seqs.begin(), model_seqs.end(), trace_seqs.begin(),
+                      trace_seqs.end(),
+                      std::inserter(result.invalid_sequences,
+                                    result.invalid_sequences.begin()));
+  result.compliant = result.invalid_sequences.empty();
+  return result;
 }
 
 }  // namespace t2m::oracle

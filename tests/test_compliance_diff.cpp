@@ -1,6 +1,6 @@
 // Differential test of the cached one-pass compliance engine against the
-// original materialise-and-set_difference pipeline, which is kept in
-// automaton/ops as the reference semantics (S_l \ P_l).
+// original materialise-and-set_difference pipeline (oracle::check_compliance
+// over automaton/ops, the reference semantics S_l \ P_l).
 
 #include <gtest/gtest.h>
 
@@ -9,25 +9,10 @@
 #include "src/automaton/ops.h"
 #include "src/core/compliance.h"
 #include "src/util/rng.h"
+#include "tests/reference_oracles.h"
 
 namespace t2m {
 namespace {
-
-/// The seed implementation, verbatim: materialise both sets, subtract.
-ComplianceResult reference_check(const Nfa& model, const std::vector<PredId>& seq,
-                                 std::size_t l) {
-  ComplianceResult result;
-  const auto model_seqs = transition_sequences(model, l);
-  const auto trace_seqs = subsequences(seq, l);
-  result.model_sequences = model_seqs.size();
-  result.trace_sequences = trace_seqs.size();
-  std::set_difference(model_seqs.begin(), model_seqs.end(), trace_seqs.begin(),
-                      trace_seqs.end(),
-                      std::inserter(result.invalid_sequences,
-                                    result.invalid_sequences.begin()));
-  result.compliant = result.invalid_sequences.empty();
-  return result;
-}
 
 Nfa random_nfa(Rng& rng, std::size_t max_states, std::size_t num_preds,
                PredId pred_offset = 0) {
@@ -67,7 +52,7 @@ TEST(ComplianceDiff, RandomisedAgainstReference) {
       const Nfa m = random_nfa(rng, 5, num_preds);
       const std::vector<PredId> seq = random_seq(rng, 12, num_preds);
       const ComplianceResult got = check_compliance(m, seq, l);
-      const ComplianceResult want = reference_check(m, seq, l);
+      const ComplianceResult want = oracle::check_compliance(m, seq, l);
       expect_identical(got, want,
                        "l=" + std::to_string(l) + " round=" + std::to_string(round));
       ++cases;
@@ -84,7 +69,7 @@ TEST(ComplianceDiff, ModelPredicatesOutsideTraceRange) {
     const Nfa m = random_nfa(rng, 4, 3, /*pred_offset=*/rng.below(2) * 1000);
     const std::vector<PredId> seq = random_seq(rng, 10, 3);
     for (std::size_t l = 1; l <= 3; ++l) {
-      expect_identical(check_compliance(m, seq, l), reference_check(m, seq, l),
+      expect_identical(check_compliance(m, seq, l), oracle::check_compliance(m, seq, l),
                        "round=" + std::to_string(round) + " l=" + std::to_string(l));
     }
   }
@@ -99,7 +84,7 @@ TEST(ComplianceDiff, WideWindowsUseVectorFallback) {
     const Nfa m = random_nfa(rng, 4, 3, offset);
     const std::vector<PredId> seq = random_seq(rng, 16, 3, offset);
     for (const std::size_t l : {3u, 5u, 8u}) {
-      expect_identical(check_compliance(m, seq, l), reference_check(m, seq, l),
+      expect_identical(check_compliance(m, seq, l), oracle::check_compliance(m, seq, l),
                        "round=" + std::to_string(round) + " l=" + std::to_string(l));
     }
   }
@@ -113,7 +98,7 @@ TEST(ComplianceDiff, CheckerReuseMatchesSingleShot) {
   const ComplianceChecker checker(seq, 2);
   for (int round = 0; round < 100; ++round) {
     const Nfa m = random_nfa(rng, 6, 4);
-    expect_identical(checker.check(m), reference_check(m, seq, 2),
+    expect_identical(checker.check(m), oracle::check_compliance(m, seq, 2),
                      "round=" + std::to_string(round));
   }
 }

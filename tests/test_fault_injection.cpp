@@ -28,6 +28,7 @@
 #include "src/trace/recorder.h"
 #include "src/util/failpoint.h"
 #include "src/util/stopwatch.h"
+#include "tests/stop_after_pass.h"
 
 namespace t2m {
 namespace {
@@ -334,31 +335,56 @@ TEST(DeadlineFaults, ComplianceCheckHonoursExpiredDeadline) {
 
 TEST(DeadlineFaults, ClauseEmissionHonoursTheLearnDeadline) {
   const FailpointGuard guard;
-  // The learner hands its budget to clause emission (CspOptions::budget): a
-  // learn whose deadline has passed before its first CSP is built stops
-  // inside emission, with emission's own verdict, not at the check between
-  // solver calls.
-  const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
-  LearnerConfig config;
-  config.segmented = false;
-  config.timeout_seconds = 1e-9;
-  const LearnResult r = ModelLearner(config).learn(t);
-  EXPECT_FALSE(r.success);
-  EXPECT_EQ(r.status.code(), ErrorCode::deadline_exceeded);
-  EXPECT_EQ(r.status.message(), "clause emission exceeded the learn deadline");
+  // Clause emission polls CspOptions::budget: a CSP built under a deadline
+  // that has already passed stops inside emission, with emission's own
+  // verdict. (A learn with such a deadline stops earlier, in its ingest
+  // pass; the stop-flag test below shows the learner hands its budget to
+  // emission.)
+  CspOptions options;
+  options.budget = RunBudget(Deadline::after_seconds(-1.0));
+  try {
+    const AutomatonCsp csp({{0, 1, 0, 1}}, 2, 2, options);
+    FAIL() << "expected a deadline verdict from clause emission";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::deadline_exceeded);
+    EXPECT_EQ(e.status().message(), "clause emission exceeded the learn deadline");
+  }
 }
 
 TEST(DeadlineFaults, ClauseEmissionHonoursARaisedStopFlag) {
   const FailpointGuard guard;
+  // The learner hands its budget to clause emission: a stop flag raised
+  // after the ingest pass stops the learn inside emission, not at the check
+  // between solver calls.
   const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
-  std::atomic<bool> stop{true};
+  std::atomic<bool> stop{false};
+  StopAfterPassStream stream(t, stop);
   LearnerConfig config;
   config.segmented = false;
   config.stop = &stop;
-  const LearnResult r = ModelLearner(config).learn(t);
+  const LearnResult r = ModelLearner(config).learn_from_stream(stream);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.status.code(), ErrorCode::cancelled);
   EXPECT_EQ(r.status.message(), "clause emission was cancelled");
+}
+
+TEST(DeadlineFaults, IngestPassHonoursTheLearnBudget) {
+  const FailpointGuard guard;
+  // Every entry point's ingest pass polls the learn's budget, so a raised
+  // stop flag or a spent deadline ends the learn before any CSP is built.
+  const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
+  std::atomic<bool> stop{true};
+  LearnerConfig config;
+  config.stop = &stop;
+  LearnResult r = ModelLearner(config).learn(t);
+  EXPECT_EQ(r.status.code(), ErrorCode::cancelled);
+  EXPECT_EQ(r.status.message(), "trace ingest was cancelled");
+  config.stop = nullptr;
+  config.timeout_seconds = 1e-9;
+  r = ModelLearner(config).learn(t);
+  EXPECT_EQ(r.status.code(), ErrorCode::deadline_exceeded);
+  EXPECT_EQ(r.status.message(), "trace ingest exceeded the learn deadline");
+  EXPECT_EQ(r.stats.csp_builds, 0u);
 }
 
 TEST(DeadlineFaults, LearnWithExpiredDeadlineReturnsTimeoutVerdict) {
@@ -423,12 +449,14 @@ TEST(Salvage, RtlinuxRunKilledByAllocationFailureSalvagesCompliantModel) {
 TEST(Salvage, CancelledLaneDoesNotSalvage) {
   const FailpointGuard guard;
   // A run aborted by the cooperative stop flag lost a race whose winner owns
-  // the verdict; handing back a partial model would be misleading.
+  // the verdict; handing back a partial model would be misleading. The flag
+  // is raised after the ingest pass, so the search is what it cancels.
   const Trace t = event_trace({"a", "b", "a", "b"}, {"a", "b"});
-  std::atomic<bool> stop{true};
+  std::atomic<bool> stop{false};
+  StopAfterPassStream stream(t, stop);
   LearnerConfig config;
   config.stop = &stop;
-  const LearnResult r = ModelLearner(config).learn(t);
+  const LearnResult r = ModelLearner(config).learn_from_stream(stream);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.status.code(), ErrorCode::cancelled);
   EXPECT_FALSE(r.salvaged());

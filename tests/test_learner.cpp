@@ -4,8 +4,10 @@
 
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
+#include "src/abstraction/event_stream.h"
 #include "src/core/report.h"
 #include "src/sim/rtlinux/workloads.h"
+#include "src/trace/mmap_io.h"
 #include "src/trace/recorder.h"
 
 namespace t2m {
@@ -216,6 +218,33 @@ TEST(Learner, PredNamesAttachedToModel) {
   }
   EXPECT_TRUE(labels.count("a"));
   EXPECT_TRUE(labels.count("b"));
+}
+
+TEST(Learner, RejectedInputIsAParseErrorVerdict) {
+  // Entry points return a verdict, never throw: input the abstraction or the
+  // ingest pass rejects ends the learn with parse_error.
+  const ModelLearner learner;
+  const LearnResult one_observation = learner.learn(event_trace({}, {"a"}));
+  EXPECT_FALSE(one_observation.success);
+  EXPECT_EQ(one_observation.status.code(), ErrorCode::parse_error);
+  EXPECT_NE(one_observation.status.message().find("at least two observations"),
+            std::string::npos);
+
+  LineReader lines(std::string_view("100.000001 only\n"), LineReader::from_memory);
+  FtracePredStream stream(lines);
+  const LearnResult short_stream = learner.learn_from_stream(stream);
+  EXPECT_FALSE(short_stream.success);
+  EXPECT_EQ(short_stream.status.code(), ErrorCode::parse_error);
+  EXPECT_NE(short_stream.status.message().find("at least two observations"),
+            std::string::npos);
+
+  LearnerConfig config;
+  config.window = 0;
+  const LearnResult no_window =
+      ModelLearner(config).learn(event_trace({"a", "b", "a"}, {"a", "b"}));
+  EXPECT_FALSE(no_window.success);
+  EXPECT_EQ(no_window.status.code(), ErrorCode::parse_error);
+  EXPECT_NE(no_window.status.message().find("window must be positive"), std::string::npos);
 }
 
 }  // namespace

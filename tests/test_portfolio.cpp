@@ -17,6 +17,7 @@
 #include "src/sim/rtlinux/workloads.h"
 #include "src/sim/serial/serial_port.h"
 #include "src/util/rng.h"
+#include "tests/stop_after_pass.h"
 
 namespace t2m {
 namespace {
@@ -94,12 +95,15 @@ TEST(Portfolio, RtlinuxRaceAgreesWithSequential) {
 TEST(Portfolio, CallerStopFlagCancelsTheWholeRace) {
   // LearnerConfig::stop must keep working when the portfolio substitutes
   // its own race flag: the driver relays the caller's flag into the race.
-  std::atomic<bool> stop{true};
+  // The flag goes up once the ingest pass is done, so the race is what it
+  // cancels.
+  const Trace trace = sim::generate_counter_trace({});
+  std::atomic<bool> stop{false};
+  StopAfterPassStream stream(trace, stop);
   LearnerConfig config;
   config.stop = &stop;
   config.portfolio = 3;
-  const LearnResult result =
-      ModelLearner(config).learn(sim::generate_counter_trace({}));
+  const LearnResult result = ModelLearner(config).learn_from_stream(stream);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status.code(), ErrorCode::cancelled);
   ASSERT_EQ(result.stats.portfolio.size(), 3u);

@@ -1,8 +1,8 @@
 // Differential tests for the streaming trace pipeline: LineReader (mmap and
 // istream fallback), streaming event abstraction, StreamingSegmenter,
 // ComplianceWindowBuilder and ModelLearner::learn_from_stream must be
-// byte-for-byte interchangeable with the in-memory path. The in-memory
-// abstraction and segmentation run on the same abstractor and segmenter, so
+// byte-for-byte interchangeable with the in-memory path. Every entry point
+// runs the same abstractor, segmenter, window builder and ingest pass, so
 // those layers are checked against the independent references in
 // tests/reference_oracles.h.
 
@@ -16,6 +16,7 @@
 
 #include "src/abstraction/abstraction.h"
 #include "src/abstraction/event_stream.h"
+#include "src/automaton/ops.h"
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
 #include "src/core/segmentation.h"
@@ -147,7 +148,7 @@ TEST(StreamingSegmenter, EdgeCases) {
   EXPECT_THROW(StreamingSegmenter(0), std::invalid_argument);
 }
 
-TEST(ComplianceWindowBuilder, MatchesBatchChecker) {
+TEST(ComplianceWindowBuilder, MatchesSubsequenceReference) {
   Rng rng(7);
   for (int round = 0; round < 100; ++round) {
     const std::size_t l = rng.below(4);  // includes l == 0
@@ -155,16 +156,15 @@ TEST(ComplianceWindowBuilder, MatchesBatchChecker) {
     const std::size_t alphabet = 1 + rng.below(5);
     const auto seq = random_sequence(rng, length, alphabet);
 
-    const ComplianceChecker batch(seq, l);
     ComplianceWindowBuilder builder(l);
     for (const PredId p : seq) builder.push(p);
     const ComplianceChecker streamed = builder.finish();
 
-    ASSERT_EQ(streamed.trace_sequences(), batch.trace_sequences());
-    ASSERT_EQ(streamed.window_length(), batch.window_length());
+    ASSERT_EQ(streamed.trace_sequences(), subsequences(seq, l).size());
+    ASSERT_EQ(streamed.window_length(), l);
 
-    // Probe both checkers with a random model; verdicts and missing-word
-    // sets must coincide.
+    // Probe the checker with a random model; verdict and missing-word set
+    // must match the materialise-and-subtract reference.
     Nfa model(1 + rng.below(3));
     const std::size_t edges = rng.below(6);
     for (std::size_t e = 0; e < edges; ++e) {
@@ -172,7 +172,7 @@ TEST(ComplianceWindowBuilder, MatchesBatchChecker) {
                            static_cast<PredId>(rng.below(alphabet + 1)),
                            rng.below(model.num_states()));
     }
-    const ComplianceResult a = batch.check(model);
+    const ComplianceResult a = oracle::check_compliance(model, seq, l);
     const ComplianceResult b = streamed.check(model);
     EXPECT_EQ(a.compliant, b.compliant);
     EXPECT_EQ(a.invalid_sequences, b.invalid_sequences);
@@ -183,19 +183,18 @@ TEST(ComplianceWindowBuilder, MatchesBatchChecker) {
 
 TEST(ComplianceWindowBuilder, WidePredicatesFallBackToVectorSet) {
   // Predicate ids too wide to pack into 64 bits force the hashed-vector
-  // representation in both construction paths.
+  // representation.
   std::vector<PredId> seq = {1ull << 40, 2, 1ull << 40, 3, 2, 1ull << 40};
   const std::size_t l = 3;
-  const ComplianceChecker batch(seq, l);
   ComplianceWindowBuilder builder(l);
   for (const PredId p : seq) builder.push(p);
   const ComplianceChecker streamed = builder.finish();
-  EXPECT_EQ(streamed.trace_sequences(), batch.trace_sequences());
+  EXPECT_EQ(streamed.trace_sequences(), subsequences(seq, l).size());
   Nfa model(2);
   model.add_transition(0, 1ull << 40, 1);
   model.add_transition(1, 2, 0);
   model.add_transition(0, 3, 0);
-  const ComplianceResult a = batch.check(model);
+  const ComplianceResult a = oracle::check_compliance(model, seq, l);
   const ComplianceResult b = streamed.check(model);
   EXPECT_EQ(a.compliant, b.compliant);
   EXPECT_EQ(a.invalid_sequences, b.invalid_sequences);
@@ -296,23 +295,30 @@ TEST(StreamPipeline, DifferentialOnRtlinuxTrace) {
   expect_stream_matches_in_memory(sim::generate_full_coverage_sched_trace(20165), config);
 }
 
-TEST(StreamPipeline, VectorPredStreamMatchesLearnFromSequence) {
+TEST(StreamPipeline, VectorPredStreamLearnMatchesReferences) {
   sim::PatternEventConfig gen;
   gen.events = 1500;
   gen.bursts = 1;
   gen.burst_prob = 0.05;
   const Trace trace = sim::generate_pattern_event_trace(gen);
   const PredicateSequence preds = abstract_trace(trace, {});
-  const ModelLearner learner;
+  const LearnerConfig config;
+  const ModelLearner learner(config);
 
-  const LearnResult reference = learner.learn_from_sequence(preds, trace.schema());
   VectorPredStream stream(preds, trace.schema());
   const LearnResult streamed = learner.learn_from_stream(stream);
 
-  ASSERT_EQ(streamed.success, reference.success);
-  EXPECT_EQ(streamed.states, reference.states);
-  EXPECT_EQ(streamed.model.transitions(), reference.model.transitions());
-  EXPECT_EQ(streamed.preds.seq, reference.preds.seq);
+  // Every entry point runs this one pass, so the references are the
+  // hash-free segmenter and the materialise-and-subtract compliance check.
+  ASSERT_TRUE(streamed.success);
+  EXPECT_EQ(streamed.stats.segments,
+            oracle::segment_sequence(preds.seq, config.window).size());
+  EXPECT_EQ(streamed.preds.seq, preds.seq);
+  const ComplianceResult compliance =
+      oracle::check_compliance(streamed.model, preds.seq, config.compliance_length);
+  EXPECT_TRUE(compliance.compliant);
+  EXPECT_TRUE(
+      oracle::accepts_from(streamed.model, {streamed.model.initial()}, preds.seq));
 }
 
 TEST(StreamPipeline, TextTraceStreamMatchesBatchReader) {

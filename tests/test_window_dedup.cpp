@@ -1,8 +1,9 @@
 // StreamingWindowDedup under engineered rolling-hash collisions: distinct
-// windows sharing a polynomial hash must all survive (bucket chains compare
+// windows sharing a polynomial hash must all survive (the index compares
 // full contents), duplicates must still dedup, and the streaming segmenter
 // must stay byte-identical to the hash-free reference segmenter on colliding
-// inputs.
+// inputs. Also drives the index through many slot-table resizes against the
+// same reference.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "src/core/segmentation.h"
 #include "src/util/hash.h"
+#include "src/util/rng.h"
 #include "src/util/window_dedup.h"
 #include "tests/reference_oracles.h"
 
@@ -94,6 +96,51 @@ TEST(WindowDedupCollision, LongerWindowCollision) {
   const auto& windows = dedup.windows();
   ASSERT_TRUE(std::find(windows.begin(), windows.end(), a) != windows.end());
   ASSERT_TRUE(std::find(windows.begin(), windows.end(), b) != windows.end());
+}
+
+std::size_t count_of(const std::vector<std::vector<PredId>>& windows,
+                     const std::vector<PredId>& window) {
+  return static_cast<std::size_t>(std::count(windows.begin(), windows.end(), window));
+}
+
+TEST(WindowDedupGrowth, ManyDistinctWindowsMatchReference) {
+  // Over 100k distinct windows double the slot table many times; every
+  // rehash must keep the stored windows findable and their first-occurrence
+  // order. The stream runs twice, so the second copy is all duplicates
+  // looked up in the grown table.
+  Rng rng(99);
+  std::vector<PredId> half(120000);
+  for (auto& p : half) p = static_cast<PredId>(rng.below(2000));
+  std::vector<PredId> seq = half;
+  seq.insert(seq.end(), half.begin(), half.end());
+  for (const std::size_t w : {std::size_t{2}, std::size_t{3}}) {
+    StreamingWindowDedup<PredId> dedup(w);
+    for (const PredId p : seq) dedup.push(p);
+    const auto want = oracle::segment_sequence(seq, w);
+    ASSERT_GE(want.size(), 50000u) << "w=" << w;
+    EXPECT_EQ(dedup.windows(), want) << "w=" << w;
+  }
+}
+
+TEST(WindowDedupGrowth, CollidingWindowsSurviveResizes) {
+  // The colliding windows go in after the table has grown several times,
+  // and more growth follows before they are looked up again.
+  StreamingWindowDedup<PredId> dedup(2);
+  std::vector<PredId> seq;
+  for (PredId i = 0; i < 50000; ++i) seq.push_back(1000000 + i);
+  const std::vector<PredId> a = {5, 7};
+  const std::vector<PredId> b = collider(5, 7, 1);
+  const std::vector<PredId> c = collider(5, 7, 2);
+  for (const auto& w : {a, b, c}) seq.insert(seq.end(), w.begin(), w.end());
+  for (PredId i = 0; i < 50000; ++i) seq.push_back(2000000 + i);
+  for (const auto& w : {a, b, c}) seq.insert(seq.end(), w.begin(), w.end());
+  for (const PredId p : seq) dedup.push(p);
+
+  const auto& windows = dedup.windows();
+  EXPECT_EQ(count_of(windows, a), 1u);
+  EXPECT_EQ(count_of(windows, b), 1u);
+  EXPECT_EQ(count_of(windows, c), 1u);
+  EXPECT_EQ(windows, oracle::segment_sequence(seq, 2));
 }
 
 }  // namespace
