@@ -1,16 +1,13 @@
 // google-benchmark microbenchmarks for the substrates: the CDCL solver, the
-// enumerative synthesiser, trace abstraction and segmentation.
+// enumerative synthesiser, trace abstraction, segmentation and ingest.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <set>
-
 #include "src/abstraction/abstraction.h"
-#include "src/automaton/ops.h"
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
 #include "src/core/segmentation.h"
+#include "src/parallel/sharded_ingest.h"
 #include "src/sat/solver.h"
 #include "src/sim/basic/counter.h"
 #include "src/sim/basic/integrator.h"
@@ -120,23 +117,6 @@ const Fixture& fixture() {
 }
 
 }  // namespace compliance_bench
-
-// Compliance-heavy, seed pipeline: materialise S_l and P_l as ordered sets
-// and run set_difference — P_l rebuilt from the 20k-step sequence on every
-// check, exactly as the seed's refinement loop did.
-void BM_ComplianceLegacy(benchmark::State& state) {
-  const auto& f = compliance_bench::fixture();
-  const std::size_t l = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto model_seqs = transition_sequences(f.model, l);
-    const auto trace_seqs = subsequences(f.preds.seq, l);
-    std::set<std::vector<PredId>> invalid;
-    std::set_difference(model_seqs.begin(), model_seqs.end(), trace_seqs.begin(),
-                        trace_seqs.end(), std::inserter(invalid, invalid.begin()));
-    benchmark::DoNotOptimize(invalid);
-  }
-}
-BENCHMARK(BM_ComplianceLegacy)->Arg(2)->Arg(3);
 
 // Compliance-heavy, cached engine: P_l hashed once at construction (as the
 // learner holds it across all refinement iterations), model paths streamed.
@@ -263,6 +243,23 @@ void BM_SegmentSchedTrace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentSchedTrace);
+
+// The learner's ingest pass over the same sequence at the default w = 3,
+// l = 2: one window dedup per step, then the segments and P_l derived from
+// its window set.
+void BM_IngestSchedTrace(benchmark::State& state) {
+  const Trace trace = sim::generate_full_coverage_sched_trace(20165);
+  PredicateSequence ids;
+  ids.seq = abstract_trace(trace).seq;
+  const par::ShardedIngestOptions options;
+  for (auto _ : state) {
+    state.PauseTiming();
+    VectorPredStream stream(ids, trace.schema());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(par::ingest_stream(stream, options));
+  }
+}
+BENCHMARK(BM_IngestSchedTrace);
 
 void BM_AbstractSchedTrace(benchmark::State& state) {
   const Trace trace = sim::generate_full_coverage_sched_trace(20165);

@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/automaton/nfa.h"
-#include "src/util/hash.h"
 #include "src/util/stopwatch.h"
 #include "src/util/window_dedup.h"
 
@@ -26,27 +24,24 @@ struct ComplianceResult {
 };
 
 /// One-pass compliance engine. The trace window set P_l is invariant across
-/// all refinement iterations of a learn run, so it is computed once, by
-/// ComplianceWindowBuilder — as packed 64-bit keys when the windows fit,
-/// a hashed vector set otherwise — and every check() then streams the
-/// candidate model's length-l paths by DFS, emitting only the missing words
-/// instead of materialising the full S_l set and running set_difference.
-/// Produces results identical to the original
+/// all refinement iterations of a learn run, so it is built once — the
+/// ingest pass derives it from its one window set (subwindows(), see
+/// src/util/window_dedup.h) — and held as a WindowIndex keyed by the window
+/// hash. Every check() streams the candidate model's length-l paths by one
+/// DFS that extends the same hash one edge at a time, so each leaf word is
+/// deduplicated and looked up in P_l without re-hashing, and only the
+/// missing words are materialised. Produces results identical to the
 /// transition_sequences/subsequences/set_difference pipeline.
 class ComplianceChecker {
 public:
-  /// P_l of a materialised sequence: `seq` folded through a
-  /// ComplianceWindowBuilder.
+  /// P_l of a materialised sequence: subwindows() of [seq]. No windows when
+  /// l == 0 or seq is shorter than l.
   ComplianceChecker(const std::vector<PredId>& seq, std::size_t l);
 
-  /// Builds a checker from an already-deduplicated window multiset, as the
-  /// sharded-ingest merge produces: `pushed` is the underlying stream length
-  /// (so the short-stream edge cases match the builder), `max_pred` the
-  /// stream's maximum predicate id (the packed-representation decision).
-  /// Byte-identical to pushing the stream through ComplianceWindowBuilder.
-  static ComplianceChecker from_windows(std::size_t l, std::size_t pushed,
-                                        std::vector<std::vector<PredId>> windows,
-                                        PredId max_pred);
+  /// A checker over an already-built P_l: the distinct length-l windows,
+  /// keyed by window_hash.
+  ComplianceChecker(std::size_t l, WindowIndex<PredId> windows)
+      : l_(l), windows_(std::move(windows)) {}
 
   /// `budget` bounds the check cooperatively: the DFS polls it at every
   /// leaf word (the clock every few thousand) and throws
@@ -63,65 +58,21 @@ public:
 
   std::size_t window_length() const { return l_; }
   /// |P_l|: number of distinct trace windows.
-  std::size_t trace_sequences() const { return trace_windows_; }
+  std::size_t trace_sequences() const { return windows_.size(); }
 
 private:
-  friend class ComplianceWindowBuilder;
-  explicit ComplianceChecker(std::size_t l) : l_(l) {}
-
-  /// Folds a window into its packed 64-bit key (requires packed_).
-  std::uint64_t pack_word(const std::vector<PredId>& word) const;
-
-  bool packed_usable(const Nfa& model) const;
+  using Adjacency = std::vector<std::vector<std::pair<PredId, StateId>>>;
 
   /// DFS over the model's length-l paths from start states [lo, hi),
   /// collecting the distinct words into `seen` and the words absent from
   /// P_l into `invalid`. One call per worker chunk; the sequential path is
   /// the single full-range call.
-  void check_packed_range(
-      const std::vector<std::vector<std::pair<PredId, StateId>>>& adj, StateId lo,
-      StateId hi, const RunBudget& budget, std::unordered_set<std::uint64_t>& seen,
-      std::set<std::vector<PredId>>& invalid) const;
-  void check_vec_range(const std::vector<std::vector<std::pair<PredId, StateId>>>& adj,
-                       StateId lo, StateId hi, const RunBudget& budget,
-                       std::unordered_set<std::vector<PredId>, VectorHash>& seen,
-                       std::set<std::vector<PredId>>& invalid) const;
+  void check_range(const Adjacency& adj, StateId lo, StateId hi, const RunBudget& budget,
+                   WindowIndex<PredId>& seen, std::set<std::vector<PredId>>& invalid) const;
 
   std::size_t l_;
   std::size_t threads_ = 1;
-  std::size_t trace_windows_ = 0;
-  /// Packed representation: each window folds into one 64-bit key
-  /// (pack_word). Valid when l_ * bits_ <= 64.
-  bool packed_ = false;
-  std::uint32_t bits_ = 0;   ///< bits per predicate id
-  std::uint64_t mask_ = 0;   ///< low l_*bits_ bits
-  std::unordered_set<std::uint64_t> packed_windows_;
-  /// Fallback for windows too wide to pack.
-  std::unordered_set<std::vector<PredId>, VectorHash> vec_windows_;
-};
-
-/// Streaming construction of the trace window set P_l, the one body of it:
-/// push one PredId per step and finish() yields the ComplianceChecker.
-/// Windows are collected by the same
-/// StreamingWindowDedup mechanism the segmenter uses (O(1) rolling-hash
-/// updates, in-ring compares, allocation-free duplicates — see
-/// src/util/window_dedup.h). The packed/hashed representation decision
-/// needs the stream's maximum predicate id, which is only known at the end,
-/// so the distinct windows (O(distinct) memory) are re-packed into 64-bit
-/// keys at finish() when they fit.
-class ComplianceWindowBuilder {
-public:
-  explicit ComplianceWindowBuilder(std::size_t l);
-
-  void push(PredId p);
-
-  /// Finalises and surrenders the checker. The builder is spent afterwards.
-  ComplianceChecker finish();
-
-private:
-  std::size_t l_;
-  PredId max_pred_ = 0;
-  StreamingWindowDedup<PredId> dedup_;  ///< unused shell when l == 0
+  WindowIndex<PredId> windows_;  ///< P_l
 };
 
 /// Convenience single-shot wrapper around ComplianceChecker; the learner

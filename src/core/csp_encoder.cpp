@@ -12,6 +12,7 @@
 #include "src/obs/trace.h"
 #include "src/parallel/scratch_arena.h"
 #include "src/parallel/thread_pool.h"
+#include "src/sat/preprocessor.h"
 #include "src/sat/var_remap.h"
 #include "src/util/log.h"
 
@@ -335,9 +336,9 @@ AutomatonCsp::AutomatonCsp(const std::vector<Segment>& segments, std::size_t num
     return;
   }
 
-  if (options_.pin_initial && num_state_vars_ > 0) {
-    solver_.add_unit(state_lit(0, 0));
-  }
+  // Pin the first segment's first state variable to state 0 (= q0). Sound
+  // symmetry breaking: states are interchangeable under renaming.
+  if (num_state_vars_ > 0) solver_.add_unit(state_lit(0, 0));
 
   activate_columns(0, num_states_);
 }
@@ -778,7 +779,7 @@ sat::SolveResult AutomatonCsp::solve() {
       // shorter, still-sound preprocessing pass instead of an unguarded
       // stall before the search even starts.
       T2M_SPAN("encode.preprocess", "clauses", solver_.num_clauses());
-      solver_.preprocess(options_.preprocess_opts);
+      solver_.preprocess(sat::PreprocessOptions{});
     }
   }
   decoded_valid_ = false;
@@ -856,7 +857,7 @@ std::size_t AutomatonCsp::decode_state(std::size_t sv) const {
 }
 
 Nfa AutomatonCsp::extract_model() const {
-  Nfa model(num_states_, options_.pin_initial && num_state_vars_ > 0 ? decode_state(0) : 0);
+  Nfa model(num_states_);  // initial state 0: the pinned first state variable
   for (std::size_t t = 0; t < preds_of_transition_.size(); ++t) {
     model.add_transition(decode_state(src_var_[t]), preds_of_transition_[t],
                          decode_state(dst_var_[t]));

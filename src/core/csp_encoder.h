@@ -8,7 +8,6 @@
 
 #include "src/automaton/nfa.h"
 #include "src/core/segmentation.h"
-#include "src/sat/preprocessor.h"
 #include "src/sat/solver.h"
 #include "src/util/hash.h"
 #include "src/util/stopwatch.h"
@@ -64,9 +63,6 @@ enum class DeterminismEncoding : std::uint8_t {
 
 struct CspOptions {
   DeterminismEncoding encoding = DeterminismEncoding::Successor;
-  /// Pin the first segment's first state variable to state 0 (= q0). Sound
-  /// symmetry breaking: states are interchangeable under renaming.
-  bool pin_initial = true;
   /// Abort encoding beyond this many clauses; solve() then reports Unknown.
   /// The pairwise encoding of an unsegmented long trace is O(m^2 N^3) --
   /// this cap is what turns the paper's ">16 hours" rows into a clean
@@ -95,9 +91,9 @@ struct CspOptions {
   bool compress_forbidden = true;
   /// Run SatELite-style preprocessing (subsumption, self-subsuming
   /// resolution, bounded variable elimination) on the encoded CNF before
-  /// the first solve. Structural variables are frozen automatically.
+  /// the first solve, with the default PreprocessOptions guards.
+  /// Structural variables are frozen automatically.
   bool preprocess = false;
-  sat::PreprocessOptions preprocess_opts;
   /// The run's limits, for clause emission and the search alike. Emission
   /// (construction, grow_to, forbidden words) polls it per item and throws a
   /// structured deadline_exceeded or cancelled StatusError once it says stop

@@ -28,13 +28,14 @@ struct ShardScan {
   std::string first_obs;  ///< event string of the shard's first observation
   /// Local pred id -> event string, in local first-occurrence order.
   std::vector<std::string> dest_order;
-  /// First min(preds, K) local ids (K covers every merge window length).
+  /// First min(preds, m-1) local ids: the context of the windows that
+  /// straddle the shard's leading cut.
   std::vector<std::uint32_t> lead;
-  /// Last min(preds, K) local ids.
+  /// Last min(preds, m-1) local ids.
   std::vector<std::uint32_t> rear;
-  /// Distinct windows fully inside the shard, local first-occurrence order.
-  std::vector<std::vector<std::uint32_t>> seg_windows;
-  std::vector<std::vector<std::uint32_t>> cmp_windows;
+  /// Distinct length-m windows fully inside the shard, local
+  /// first-occurrence order.
+  std::vector<std::vector<std::uint32_t>> windows;
   /// Full local-id sequence (only when the caller keeps the sequence).
   std::vector<std::uint32_t> seq;
 };
@@ -69,22 +70,47 @@ std::vector<std::string_view> split_regions(std::string_view content,
   return regions;
 }
 
+/// The length m of the one window set an ingest pass collects: the longest
+/// window the learn reads off it (the segments' w when segmented, and l).
+std::size_t base_window(const ShardedIngestOptions& opt) {
+  return opt.segmented ? std::max(opt.window, opt.compliance_length) : opt.compliance_length;
+}
+
+/// Rejects window lengths no learn can use: a zero w, or a zero l, whose
+/// empty word no forbidden-sequence constraint can exclude.
+void check_window_lengths(const ShardedIngestOptions& opt) {
+  if (opt.window == 0) throw std::invalid_argument("ingest: window must be positive");
+  if (opt.compliance_length == 0) {
+    throw std::invalid_argument("ingest: compliance length must be positive");
+  }
+}
+
+/// Sets the segments (segmented runs) and P_l from `base`, the distinct
+/// length-m windows of the n-step sequence in first-occurrence order, or [P]
+/// when n < m: both are subwindows() of it. A segment set of length m is the
+/// base itself, and a sequence shorter than w is its one segment.
+void derive_window_sets(std::vector<std::vector<PredId>> base, std::size_t n,
+                        const ShardedIngestOptions& opt, ShardedIngestResult& result) {
+  const std::size_t w = opt.window;
+  const std::size_t l = opt.compliance_length;
+  result.compliance = ComplianceChecker(l, subwindows<PredId>(base, l));
+  if (!opt.segmented) return;
+  result.segments = n < w || w >= l ? std::move(base) : subwindows<PredId>(base, w).take();
+}
+
 /// One shard's pass: parse lines, intern event strings locally, feed the
-/// window dedups. The step predicate depends only on the destination
+/// window dedup. The step predicate depends only on the destination
 /// observation (see EventStreamAbstractor), so a shard needs no context from
 /// its predecessor: every observation it sees is a step destination — except
 /// the very first observation of the whole trace (`fresh_start`), which
 /// starts the trace instead of ending a step.
 void scan_shard(std::string_view region, bool fresh_start,
-                const ShardedIngestOptions& opt, std::size_t K, ShardScan& out) {
+                const ShardedIngestOptions& opt, ShardScan& out) {
   LineReader lines(region, LineReader::from_memory);
   std::unordered_map<std::string, std::uint32_t> local_ids;
-  std::optional<StreamingWindowDedup<std::uint32_t>> seg_dedup;
-  if (opt.segmented) seg_dedup.emplace(std::max<std::size_t>(opt.window, 1));
-  std::optional<StreamingWindowDedup<std::uint32_t>> cmp_dedup;
-  if (opt.compliance_length > 0) {
-    cmp_dedup.emplace(std::max<std::size_t>(opt.compliance_length, 1));
-  }
+  const std::size_t m = base_window(opt);
+  const std::size_t K = m - 1;
+  StreamingWindowDedup<std::uint32_t> dedup(m);
   std::vector<std::uint32_t> rear_ring(std::max<std::size_t>(K, 1));
 
   std::string task, event;
@@ -104,16 +130,14 @@ void scan_shard(std::string_view region, bool fresh_start,
         local_ids.try_emplace(event, static_cast<std::uint32_t>(out.dest_order.size()));
     if (inserted) out.dest_order.push_back(event);
     const std::uint32_t lid = it->second;
-    if (seg_dedup) seg_dedup->push(lid);
-    if (cmp_dedup) cmp_dedup->push(lid);
+    dedup.push(lid);
     if (out.preds < K) out.lead.push_back(lid);
     if (K > 0) rear_ring[out.preds % K] = lid;
     if (opt.keep_sequence) out.seq.push_back(lid);
     ++out.preds;
   }
 
-  if (seg_dedup) out.seg_windows = seg_dedup->take_windows();
-  if (cmp_dedup) out.cmp_windows = cmp_dedup->take_windows();
+  out.windows = dedup.take_windows();
   const std::size_t r = std::min(out.preds, K);
   out.rear.resize(r);
   for (std::size_t i = 0; i < r; ++i) {
@@ -126,7 +150,8 @@ void scan_shard(std::string_view region, bool fresh_start,
 /// have kept it.
 void merge_insert(WindowIndex<PredId>& merged, std::vector<PredId> window) {
   merged.insert(
-      VectorHash{}(window), [&](const std::vector<PredId>& held) { return held == window; },
+      window_hash(window.begin(), window.end()),
+      [&](const std::vector<PredId>& held) { return held == window; },
       [&] { return std::move(window); });
 }
 
@@ -137,7 +162,7 @@ void merge_insert(WindowIndex<PredId>& merged, std::vector<PredId> window) {
 /// lead are in the shard's local list.
 void emit_cross_windows(const std::vector<PredId>& tail, const std::vector<PredId>& lead,
                         std::size_t L, WindowIndex<PredId>& out) {
-  if (L == 0 || tail.empty() || lead.empty()) return;
+  if (tail.empty() || lead.empty()) return;
   ScratchArena& scratch = local_scratch();
   scratch.reset();
   const std::size_t tape_len = tail.size() + lead.size();
@@ -175,22 +200,19 @@ ShardedIngestResult sequential_ingest(std::string_view content,
 }  // namespace
 
 ShardedIngestResult ingest_stream(PredStream& stream, const ShardedIngestOptions& options) {
+  check_window_lengths(options);
   ShardedIngestResult result;
   result.shards_used = 1;
-  // Non-segmented runs take their single segment from the retained
-  // sequence; feeding the segmenter would only burn CPU and memory on a
-  // discarded set.
-  std::optional<StreamingSegmenter> segmenter;
-  if (options.segmented) segmenter.emplace(options.window);
-  ComplianceWindowBuilder builder(options.compliance_length);
+  // The one window set: the distinct length-m windows, or [P] when the
+  // stream is shorter than m, exactly as a segmenter at window m keeps them.
+  StreamingSegmenter windows(base_window(options));
   std::vector<PredId> seq;
   BudgetPoll poll(options.budget, kIngestPollInterval);
   {
     T2M_SPAN_SCOPE(pass_span, "ingest.stream_pass");
     while (const auto id = stream.next()) {
       poll.check(kIngestSite);
-      if (segmenter) segmenter->push(*id);
-      builder.push(*id);
+      windows.push(*id);
       if (options.keep_sequence) seq.push_back(*id);
       ++result.sequence_length;
     }
@@ -199,16 +221,14 @@ ShardedIngestResult ingest_stream(PredStream& stream, const ShardedIngestOptions
   result.preds = stream.take_preds();
   if (options.keep_sequence) result.preds.seq = std::move(seq);
   result.schema = stream.schema();
-  result.segments = segmenter ? segmenter->take() : whole_sequence(result.preds.seq);
-  result.compliance = builder.finish();
+  derive_window_sets(windows.take(), result.sequence_length, options, result);
+  if (!options.segmented) result.segments = whole_sequence(result.preds.seq);
   return result;
 }
 
 ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
                                           const ShardedIngestOptions& options) {
-  if (options.window == 0) {
-    throw std::invalid_argument("sharded ingest: window must be positive");
-  }
+  check_window_lengths(options);
   const std::size_t want =
       options.shards != 0 ? options.shards : std::max<std::size_t>(options.threads, 1);
   if (want <= 1) return sequential_ingest(content, options);
@@ -216,19 +236,13 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
   const std::vector<std::string_view> regions = split_regions(content, want);
   if (regions.size() <= 1) return sequential_ingest(content, options);
 
-  // K: enough lead/rear context for every merge window length.
-  const std::size_t w = options.window;
-  const std::size_t l = options.compliance_length;
-  const std::size_t K =
-      std::max(w > 0 ? w - 1 : 0, l > 0 ? l - 1 : 0);
-
   // Parallel scan: one task per shard, results keyed by shard index.
   std::vector<ShardScan> scans(regions.size());
   for_chunks(options.threads, regions.size(), regions.size(),
              [&](std::size_t shard, std::size_t, std::size_t) {
                T2M_SPAN("ingest.scan_shard", "shard", shard, "bytes",
                         regions[shard].size());
-               scan_shard(regions[shard], /*fresh_start=*/shard == 0, options, K,
+               scan_shard(regions[shard], /*fresh_start=*/shard == 0, options,
                           scans[shard]);
              });
 
@@ -291,20 +305,13 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
       remap[s].push_back(global_of.at(name));
     }
   }
-  // --- window merges -------------------------------------------------------
-  // Per length L: walk shards in stream order keeping the last L-1 merged
-  // predicates as `tail`; per shard, first emit the windows straddling the
-  // incoming cut (tail x lead), then splice the shard's interior list. Every
-  // window is thereby inserted at its global first-occurrence position, so
-  // the merged order equals the sequential dedup's order exactly.
-  const auto slice_front = [](const std::vector<PredId>& v, std::size_t n) {
-    return std::vector<PredId>(v.begin(),
-                               v.begin() + static_cast<std::ptrdiff_t>(std::min(n, v.size())));
-  };
-  const auto slice_back = [](const std::vector<PredId>& v, std::size_t n) {
-    const std::size_t take = std::min(n, v.size());
-    return std::vector<PredId>(v.end() - static_cast<std::ptrdiff_t>(take), v.end());
-  };
+  // --- window merge ------------------------------------------------------
+  // Walk shards in stream order keeping the last m-1 merged predicates as
+  // `tail`; per shard, first emit the windows straddling the incoming cut
+  // (tail x lead), then splice the shard's interior list. Every window is
+  // thereby inserted at its global first-occurrence position, so the merged
+  // order equals the one pass's order exactly.
+  const std::size_t m = base_window(options);
   std::vector<std::vector<PredId>> lead_global(scans.size());
   std::vector<std::vector<PredId>> rear_global(scans.size());
   for (std::size_t s = 0; s < scans.size(); ++s) {
@@ -313,56 +320,35 @@ ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
     rear_global[s].reserve(scans[s].rear.size());
     for (const std::uint32_t lid : scans[s].rear) rear_global[s].push_back(remap[s][lid]);
   }
-
-  const auto merge_windows = [&](std::size_t L,
-                                 const auto member) -> std::vector<std::vector<PredId>> {
+  std::vector<std::vector<PredId>> base;
+  if (total_preds < m) {
+    // Short stream: the base is [P]. Every shard's count is below m, so its
+    // lead holds all of its predicates.
+    Segment whole;
+    whole.reserve(total_preds);
+    for (const std::vector<PredId>& lead : lead_global) {
+      whole.insert(whole.end(), lead.begin(), lead.end());
+    }
+    base.push_back(std::move(whole));
+  } else {
     WindowIndex<PredId> merged;
     std::vector<PredId> tail;
     BudgetPoll poll(options.budget, kIngestPollInterval);
     for (std::size_t s = 0; s < scans.size(); ++s) {
-      emit_cross_windows(tail, slice_front(lead_global[s], L > 0 ? L - 1 : 0), L, merged);
-      for (const auto& local_window : scans[s].*member) {
+      emit_cross_windows(tail, lead_global[s], m, merged);
+      for (const auto& local_window : scans[s].windows) {
         poll.check(kIngestSite);
         std::vector<PredId> window;
         window.reserve(local_window.size());
         for (const std::uint32_t lid : local_window) window.push_back(remap[s][lid]);
         merge_insert(merged, std::move(window));
       }
-      advance_tail(tail, slice_back(rear_global[s], L > 0 ? L - 1 : 0), L);
+      advance_tail(tail, rear_global[s], m);
     }
-    return merged.take();
-  };
-
-  if (options.segmented) {
-    if (total_preds > 0 && total_preds < w) {
-      // Short stream: the whole sequence is one segment, as in
-      // segment_sequence / StreamingSegmenter. Every shard's count is below
-      // w, so its lead holds all of its predicates.
-      Segment whole;
-      whole.reserve(total_preds);
-      for (std::size_t s = 0; s < scans.size(); ++s) {
-        whole.insert(whole.end(), lead_global[s].begin(), lead_global[s].end());
-      }
-      result.segments.push_back(std::move(whole));
-    } else if (total_preds >= w) {
-      result.segments = merge_windows(w, &ShardScan::seg_windows);
-    }
+    base = merged.take();
   }
-
   result.preds = abstractor.take();
-  {
-    std::vector<std::vector<PredId>> cmp_windows;
-    if (l > 0 && total_preds >= l) {
-      cmp_windows = merge_windows(l, &ShardScan::cmp_windows);
-    }
-    // Predicate ids are dense and every one occurs in the stream, so the
-    // stream's maximum id is vocab-size - 1 — the same packed-representation
-    // decision the builder's rolling maximum reaches.
-    const PredId max_pred =
-        result.preds.vocab.size() > 0 ? result.preds.vocab.size() - 1 : 0;
-    result.compliance = ComplianceChecker::from_windows(l, total_preds,
-                                                        std::move(cmp_windows), max_pred);
-  }
+  derive_window_sets(std::move(base), total_preds, options, result);
 
   if (options.keep_sequence) {
     result.preds.seq.reserve(total_preds);

@@ -16,7 +16,7 @@ namespace t2m::par {
 struct ShardedIngestOptions {
   /// Segmentation window w; must be positive (as segment_sequence requires).
   std::size_t window = 3;
-  /// Compliance-check window length l (0 = no compliance windows).
+  /// Compliance-check window length l; must be positive.
   std::size_t compliance_length = 2;
   /// Worker threads scanning shards concurrently.
   std::size_t threads = 1;
@@ -52,18 +52,21 @@ struct ShardedIngestResult {
 };
 
 /// The one ingest pass every learn entry point runs: each id pulled from
-/// `stream` goes into the segmenter, the compliance window builder and,
-/// when kept, the retained sequence. Throws what the stream throws,
-/// std::invalid_argument for window == 0, StatusError on a budget stop.
+/// `stream` goes into one window dedup of length m = max(w, l) (l when not
+/// segmented) and, when kept, the retained sequence; the segments and P_l
+/// are then both derived from that one window set (subwindows()). Throws
+/// what the stream throws, std::invalid_argument for window == 0 or
+/// compliance_length == 0, StatusError on a budget stop.
 ShardedIngestResult ingest_stream(PredStream& stream, const ShardedIngestOptions& options);
 
 /// Sharded parallel ingest of an ftrace log held in memory (normally a
 /// MappedFile view): the content is cut at line boundaries into roughly
 /// equal shards, each scanned concurrently by its own line cursor, local
-/// interner and window dedups; a deterministic sequential merge then
-/// rebuilds the global vocabulary, segment list, and compliance window set.
-/// One shard runs ingest_stream instead. Throws std::invalid_argument for
-/// window == 0 or a trace with fewer than two observations.
+/// interner and length-m window dedup; a deterministic sequential merge
+/// then rebuilds the global vocabulary and the one window set, from which
+/// the segments and P_l are derived as in ingest_stream. One shard runs
+/// ingest_stream instead. Throws std::invalid_argument for window == 0,
+/// compliance_length == 0 or a trace with fewer than two observations.
 ShardedIngestResult sharded_ftrace_ingest(std::string_view content,
                                           const ShardedIngestOptions& options);
 

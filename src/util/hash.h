@@ -19,15 +19,25 @@ inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
   return hash_mix(seed ^ (v + (seed << 6) + (seed >> 2)));
 }
 
-/// Odd multiplier for polynomial rolling hashes (mod 2^64), shared by the
-/// streaming window dedups in segmentation and compliance. Collisions are
-/// resolved by full element comparison, so the constant only affects bucket
-/// spread, not correctness.
+/// Odd multiplier of the window hash (mod 2^64): a window a_0..a_{k-1}
+/// hashes to hash_mix(sum a_i * base^(k-1-i)). StreamingWindowDedup rolls it
+/// in O(1) per step, window_hash() folds it over a stored window, and the
+/// compliance DFS extends it one edge at a time, so every window set of a
+/// learn (segments, P_l, the sharded merge, the model words) is keyed by the
+/// one hash. Collisions are resolved by full element comparison, so the
+/// constant only affects bucket spread, not correctness.
 inline constexpr std::uint64_t kPolyHashBase = 0x100000001b3ULL;
 
-/// Hash functor for vectors of integral ids (predicate windows, words).
-/// Used by the compliance window sets, the sharded-ingest merge and the
-/// forbidden-chain cache, replacing ordered std::set keys on hot paths.
+/// The window hash of [first, last): the polynomial fold, then hash_mix.
+template <typename It>
+std::uint64_t window_hash(It first, It last) {
+  std::uint64_t h = 0;
+  for (; first != last; ++first) h = h * kPolyHashBase + static_cast<std::uint64_t>(*first);
+  return hash_mix(h);
+}
+
+/// Hash functor for vectors of integral ids, for unordered containers keyed
+/// by a word (the forbidden-chain cache). The window sets use window_hash.
 struct VectorHash {
   template <typename T>
   std::size_t operator()(const std::vector<T>& v) const {

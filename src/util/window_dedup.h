@@ -1,7 +1,9 @@
 #ifndef T2M_UTIL_WINDOW_DEDUP_H
 #define T2M_UTIL_WINDOW_DEDUP_H
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/base/memory_accountant.h"
@@ -9,12 +11,13 @@
 
 namespace t2m {
 
-/// Order-preserving set of distinct windows, behind StreamingWindowDedup and
-/// the sharded-ingest merge: the windows in first-occurrence order, one
-/// stored hash each, and an open-addressed slot table (power-of-two size,
-/// linear probing, at most half full) of window index + 1, 0 = empty. The
-/// caller supplies a well-mixed hash and a full comparison for collisions,
-/// so a duplicate costs one probe run and zero allocations.
+/// Order-preserving set of distinct windows, behind StreamingWindowDedup, the
+/// sharded-ingest merge, subwindows() and the compliance check: the windows
+/// in first-occurrence order, one stored hash each, and an open-addressed
+/// slot table (power-of-two size, linear probing, at most half full) of
+/// window index + 1, 0 = empty. The caller supplies a well-mixed hash and a
+/// full comparison for collisions, so a duplicate costs one probe run and
+/// zero allocations.
 template <typename T>
 class WindowIndex {
 public:
@@ -25,11 +28,8 @@ public:
   /// new. Returns true when the candidate was appended.
   template <typename Matches, typename Make>
   bool insert(std::uint64_t hash, const Matches& matches, const Make& make) {
-    std::size_t i = probe_start(hash);
-    for (; slots_[i] != 0; i = next(i)) {
-      const std::uint32_t idx = slots_[i] - 1;
-      if (hashes_[idx] == hash && matches(windows_[idx])) return false;
-    }
+    std::size_t i = find(hash, matches);
+    if (slots_[i] != 0) return false;
     if (2 * (windows_.size() + 1) > slots_.size()) {
       grow();
       i = probe_start(hash);
@@ -46,6 +46,13 @@ public:
     return true;
   }
 
+  /// Whether a stored window with this hash `matches`.
+  template <typename Matches>
+  bool contains(std::uint64_t hash, const Matches& matches) const {
+    return slots_[find(hash, matches)] != 0;
+  }
+
+  std::size_t size() const { return windows_.size(); }
   /// Distinct windows so far, in first-occurrence order.
   const std::vector<std::vector<T>>& windows() const { return windows_; }
   /// Surrenders the window list; the index is spent afterwards.
@@ -59,6 +66,18 @@ private:
 
   std::size_t probe_start(std::uint64_t hash) const { return hash & (slots_.size() - 1); }
   std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  /// The slot of the stored window with this hash that `matches`, or the
+  /// empty slot that ends its probe run.
+  template <typename Matches>
+  std::size_t find(std::uint64_t hash, const Matches& matches) const {
+    std::size_t i = probe_start(hash);
+    for (; slots_[i] != 0; i = next(i)) {
+      const std::uint32_t idx = slots_[i] - 1;
+      if (hashes_[idx] == hash && matches(windows_[idx])) break;
+    }
+    return i;
+  }
 
   void grow() {
     slots_.assign(slots_.size() * 2, 0);
@@ -86,13 +105,13 @@ private:
 /// One-pass dedup of the sliding length-w windows of a stream: push one
 /// element at a time; each completed window is checked against the distinct
 /// windows seen so far and materialised only when genuinely new. The
-/// mechanism shared by StreamingSegmenter (w = segmentation window) and
-/// ComplianceWindowBuilder (w = compliance length l):
+/// mechanism behind StreamingSegmenter, and so behind every ingest pass's one
+/// window set:
 ///
 /// - a w-slot ring buffer holds the current window, so nothing of the
 ///   stream's past is retained beyond the distinct-window list;
-/// - a polynomial rolling hash (kPolyHashBase, mod 2^64) is updated in O(1)
-///   per element — the expiring element's contribution base^(w-1) is
+/// - the window hash (kPolyHashBase, mod 2^64) is rolled in O(1) per
+///   element — the expiring element's contribution base^(w-1) is
 ///   subtracted before the new one is shifted in;
 /// - a WindowIndex keyed by the mixed rolling hash holds the distinct
 ///   windows, and a candidate window is compared element-wise straight out
@@ -162,6 +181,32 @@ private:
   std::uint64_t drop_coeff_ = 1;  ///< kPolyHashBase^(w-1)
   WindowIndex<T> index_;
 };
+
+/// The distinct length-k subwindows of `base`, k >= 1: the base windows in
+/// order, each window's offsets ascending, the first occurrence of every
+/// subwindow kept; a base window shorter than k contributes none. When
+/// `base` holds the distinct length-m windows of a sequence P (m >= k) in
+/// first-occurrence order — or [P] itself — the result is P's own distinct
+/// length-k windows in first-occurrence order: reading the windows at
+/// start j = 0, 1, ... offsets 0..m-k visits position p for the first time
+/// at start max(0, p-(m-k)), after every earlier position, and a duplicate
+/// base window only revisits contents already kept. This is how one ingest
+/// pass yields both the segments (k = w) and P_l (k = l) from one window set.
+template <typename T>
+WindowIndex<T> subwindows(std::span<const std::vector<T>> base, std::size_t k) {
+  WindowIndex<T> out;
+  for (const std::vector<T>& window : base) {
+    for (std::size_t o = 0; o + k <= window.size(); ++o) {
+      const auto first = window.begin() + static_cast<std::ptrdiff_t>(o);
+      const auto last = first + static_cast<std::ptrdiff_t>(k);
+      out.insert(
+          window_hash(first, last),
+          [&](const std::vector<T>& held) { return std::equal(first, last, held.begin()); },
+          [&] { return std::vector<T>(first, last); });
+    }
+  }
+  return out;
+}
 
 }  // namespace t2m
 

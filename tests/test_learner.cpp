@@ -245,6 +245,17 @@ TEST(Learner, RejectedInputIsAParseErrorVerdict) {
   EXPECT_FALSE(no_window.success);
   EXPECT_EQ(no_window.status.code(), ErrorCode::parse_error);
   EXPECT_NE(no_window.status.message().find("window must be positive"), std::string::npos);
+
+  // l = 0 would loop forever: the empty word is reported missing, and no
+  // forbidden-sequence constraint can exclude it.
+  config.window = 3;
+  config.compliance_length = 0;
+  const LearnResult no_compliance =
+      ModelLearner(config).learn(event_trace({"a", "b", "a"}, {"a", "b"}));
+  EXPECT_FALSE(no_compliance.success);
+  EXPECT_EQ(no_compliance.status.code(), ErrorCode::parse_error);
+  EXPECT_NE(no_compliance.status.message().find("compliance length must be positive"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Sharded parallel ingest vs the sequential streaming pipeline: for every
 // shard count the merged artefacts — vocabulary, display names, segment list
-// (content AND first-occurrence order), compliance window set, retained
-// sequence — must be byte-identical, and learn_from_ftrace must produce the
-// same model transition for transition.
+// (content AND first-occurrence order), compliance window set (compared by
+// the check results of random models), retained sequence — must be
+// byte-identical, and learn_from_ftrace must produce the same model
+// transition for transition.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/abstraction/event_stream.h"
 #include "src/core/learner.h"
 #include "src/parallel/sharded_ingest.h"
 #include "src/sim/rtlinux/workloads.h"
@@ -49,7 +51,7 @@ std::string ftrace_content(const std::vector<std::string>& events) {
 
 void expect_ingest_identical(const par::ShardedIngestResult& got,
                              const par::ShardedIngestResult& want,
-                             const std::string& context) {
+                             const std::vector<Nfa>& probes, const std::string& context) {
   EXPECT_EQ(got.sequence_length, want.sequence_length) << context;
   EXPECT_EQ(got.preds.vocab.size(), want.preds.vocab.size()) << context;
   EXPECT_EQ(got.preds.display_names, want.preds.display_names) << context;
@@ -58,6 +60,13 @@ void expect_ingest_identical(const par::ShardedIngestResult& got,
   EXPECT_EQ(got.segments, want.segments) << context;
   EXPECT_EQ(got.compliance.trace_sequences(), want.compliance.trace_sequences())
       << context;
+  // P_l content: every probe model meets the same missing words.
+  for (const Nfa& model : probes) {
+    const ComplianceResult a = got.compliance.check(model);
+    const ComplianceResult b = want.compliance.check(model);
+    EXPECT_EQ(a.invalid_sequences, b.invalid_sequences) << context;
+    EXPECT_EQ(a.model_sequences, b.model_sequences) << context;
+  }
   EXPECT_EQ(got.schema.var(0).symbols, want.schema.var(0).symbols) << context;
 }
 
@@ -67,11 +76,25 @@ void check_all_shard_counts(const std::string& content,
   options.shards = 1;
   const par::ShardedIngestResult reference =
       par::sharded_ftrace_ingest(content, options);
+  // Probe models over the trace's ids plus one it lacks, dense enough that
+  // most of their words are missing from P_l and the rest are not.
+  Rng rng(reference.sequence_length);
+  const std::size_t alphabet = reference.preds.vocab.size() + 1;
+  std::vector<Nfa> probes;
+  for (int i = 0; i < 4; ++i) {
+    Nfa model(1 + rng.below(3));
+    for (std::size_t e = 0, edges = 2 + rng.below(6); e < edges; ++e) {
+      model.add_transition(rng.below(model.num_states()),
+                           static_cast<PredId>(rng.below(alphabet)),
+                           rng.below(model.num_states()));
+    }
+    probes.push_back(std::move(model));
+  }
   for (std::size_t shards = 2; shards <= max_shards; ++shards) {
     options.shards = shards;
     options.threads = 3;
     const par::ShardedIngestResult got = par::sharded_ftrace_ingest(content, options);
-    expect_ingest_identical(got, reference,
+    expect_ingest_identical(got, reference, probes,
                             "shards=" + std::to_string(shards) +
                                 " w=" + std::to_string(options.window) +
                                 " l=" + std::to_string(options.compliance_length));
@@ -122,7 +145,7 @@ TEST(ShardedIngest, RandomisedDifferential) {
     }
     par::ShardedIngestOptions options;
     options.window = 1 + rng.below(5);
-    options.compliance_length = rng.below(4);  // includes l == 0
+    options.compliance_length = 1 + rng.below(4);
     options.keep_sequence = rng.chance(0.5);
     options.segmented = rng.chance(0.9);
     check_all_shard_counts(ftrace_content(events), options, 6);
@@ -178,6 +201,22 @@ TEST(ShardedIngest, TooShortThrowsLikeStreaming) {
   options.window = 0;
   EXPECT_THROW(par::sharded_ftrace_ingest(ftrace_content({"a", "b"}), options),
                std::invalid_argument);
+}
+
+TEST(ShardedIngest, ZeroComplianceLengthThrowsOnBothPaths) {
+  // No model can be compliant at l = 0 (its empty word is never forbidden),
+  // so both ingest paths reject it up front.
+  const std::string content = ftrace_content({"a", "b", "a", "c", "b", "a"});
+  par::ShardedIngestOptions options;
+  options.compliance_length = 0;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    options.shards = shards;
+    EXPECT_THROW(par::sharded_ftrace_ingest(content, options), std::invalid_argument)
+        << "shards=" << shards;
+  }
+  LineReader lines(content, LineReader::from_memory);
+  FtracePredStream stream(lines);
+  EXPECT_THROW(par::ingest_stream(stream, options), std::invalid_argument);
 }
 
 TEST(ShardedIngest, LearnFromFtraceMatchesStreamingOnRandomisedTraces) {

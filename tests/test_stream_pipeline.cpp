@@ -1,13 +1,13 @@
 // Differential tests for the streaming trace pipeline: LineReader (mmap and
-// istream fallback), streaming event abstraction, StreamingSegmenter,
-// ComplianceWindowBuilder and ModelLearner::learn_from_stream must be
+// istream fallback), streaming event abstraction, StreamingSegmenter, the
+// ingest pass's window sets and ModelLearner::learn_from_stream must be
 // byte-for-byte interchangeable with the in-memory path. Every entry point
-// runs the same abstractor, segmenter, window builder and ingest pass, so
-// those layers are checked against the independent references in
-// tests/reference_oracles.h.
+// runs the same abstractor and ingest pass, so those layers are checked
+// against the independent references in tests/reference_oracles.h.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,6 +20,7 @@
 #include "src/core/compliance.h"
 #include "src/core/learner.h"
 #include "src/core/segmentation.h"
+#include "src/parallel/sharded_ingest.h"
 #include "src/sim/rtlinux/workloads.h"
 #include "src/sim/synthetic/pattern_events.h"
 #include "src/trace/ftrace_io.h"
@@ -148,56 +149,104 @@ TEST(StreamingSegmenter, EdgeCases) {
   EXPECT_THROW(StreamingSegmenter(0), std::invalid_argument);
 }
 
-TEST(ComplianceWindowBuilder, MatchesSubsequenceReference) {
+/// A random model over ids below `alphabet`: the probe of a P_l.
+Nfa random_model(Rng& rng, std::size_t alphabet) {
+  Nfa model(1 + rng.below(3));
+  const std::size_t edges = rng.below(6);
+  for (std::size_t e = 0; e < edges; ++e) {
+    model.add_transition(rng.below(model.num_states()), static_cast<PredId>(rng.below(alphabet)),
+                         rng.below(model.num_states()));
+  }
+  return model;
+}
+
+/// The checker's verdict, missing-word set and counts must match the
+/// materialise-and-subtract reference on `model`.
+void expect_check_matches_reference(const ComplianceChecker& checker, const Nfa& model,
+                                    const std::vector<PredId>& seq, std::size_t l,
+                                    const std::string& context) {
+  const ComplianceResult want = oracle::check_compliance(model, seq, l);
+  const ComplianceResult got = checker.check(model);
+  EXPECT_EQ(got.compliant, want.compliant) << context;
+  EXPECT_EQ(got.invalid_sequences, want.invalid_sequences) << context;
+  EXPECT_EQ(got.model_sequences, want.model_sequences) << context;
+  EXPECT_EQ(got.trace_sequences, want.trace_sequences) << context;
+}
+
+/// ingest_stream over a VectorPredStream of `seq`.
+par::ShardedIngestResult ingest_sequence(const std::vector<PredId>& seq, std::size_t w,
+                                         std::size_t l, bool segmented) {
+  PredicateSequence preds;
+  preds.seq = seq;
+  const Schema schema;
+  VectorPredStream stream(std::move(preds), schema);
+  par::ShardedIngestOptions options;
+  options.window = w;
+  options.compliance_length = l;
+  options.segmented = segmented;
+  options.keep_sequence = !segmented;
+  return par::ingest_stream(stream, options);
+}
+
+TEST(ComplianceChecker, MatchesSubsequenceReference) {
   Rng rng(7);
   for (int round = 0; round < 100; ++round) {
-    const std::size_t l = rng.below(4);  // includes l == 0
+    const std::size_t l = rng.below(4);  // includes the l == 0 placeholder
     const std::size_t length = rng.below(40);
     const std::size_t alphabet = 1 + rng.below(5);
     const auto seq = random_sequence(rng, length, alphabet);
-
-    ComplianceWindowBuilder builder(l);
-    for (const PredId p : seq) builder.push(p);
-    const ComplianceChecker streamed = builder.finish();
-
-    ASSERT_EQ(streamed.trace_sequences(), subsequences(seq, l).size());
-    ASSERT_EQ(streamed.window_length(), l);
-
-    // Probe the checker with a random model; verdict and missing-word set
-    // must match the materialise-and-subtract reference.
-    Nfa model(1 + rng.below(3));
-    const std::size_t edges = rng.below(6);
-    for (std::size_t e = 0; e < edges; ++e) {
-      model.add_transition(rng.below(model.num_states()),
-                           static_cast<PredId>(rng.below(alphabet + 1)),
-                           rng.below(model.num_states()));
-    }
-    const ComplianceResult a = oracle::check_compliance(model, seq, l);
-    const ComplianceResult b = streamed.check(model);
-    EXPECT_EQ(a.compliant, b.compliant);
-    EXPECT_EQ(a.invalid_sequences, b.invalid_sequences);
-    EXPECT_EQ(a.model_sequences, b.model_sequences);
-    EXPECT_EQ(a.trace_sequences, b.trace_sequences);
+    const ComplianceChecker checker(seq, l);
+    ASSERT_EQ(checker.trace_sequences(), subsequences(seq, l).size());
+    ASSERT_EQ(checker.window_length(), l);
+    expect_check_matches_reference(checker, random_model(rng, alphabet + 1), seq, l,
+                                   "round " + std::to_string(round));
   }
 }
 
-TEST(ComplianceWindowBuilder, WidePredicatesFallBackToVectorSet) {
-  // Predicate ids too wide to pack into 64 bits force the hashed-vector
-  // representation.
-  std::vector<PredId> seq = {1ull << 40, 2, 1ull << 40, 3, 2, 1ull << 40};
-  const std::size_t l = 3;
-  ComplianceWindowBuilder builder(l);
-  for (const PredId p : seq) builder.push(p);
-  const ComplianceChecker streamed = builder.finish();
-  EXPECT_EQ(streamed.trace_sequences(), subsequences(seq, l).size());
+TEST(IngestStream, WindowSetsMatchReferencesOverTheWindowGrid) {
+  // One window set of length m = max(w, l) serves both artefacts, so every
+  // (w, l) pair is checked — l > w included — at lengths from empty past m:
+  // the segments against the hash-free segmenter, P_l through check()
+  // against the materialise-and-subtract reference.
+  Rng rng(1717);
+  for (std::size_t w = 1; w <= 6; ++w) {
+    for (std::size_t l = 1; l <= 6; ++l) {
+      for (int round = 0; round < 12; ++round) {
+        const std::size_t length = rng.below(std::max(w, l) + 10);
+        const std::size_t alphabet = 1 + rng.below(4);
+        const auto seq = random_sequence(rng, length, alphabet);
+        const std::string context = "w=" + std::to_string(w) + " l=" + std::to_string(l) +
+                                    " |P|=" + std::to_string(length);
+        const par::ShardedIngestResult segmented = ingest_sequence(seq, w, l, true);
+        EXPECT_EQ(segmented.segments, oracle::segment_sequence(seq, w)) << context;
+        const par::ShardedIngestResult whole = ingest_sequence(seq, w, l, false);
+        EXPECT_EQ(whole.segments, whole_sequence(seq)) << context;
+        for (int probe = 0; probe < 3; ++probe) {
+          const Nfa model = random_model(rng, alphabet + 1);
+          expect_check_matches_reference(segmented.compliance, model, seq, l, context);
+          expect_check_matches_reference(whole.compliance, model, seq, l, context);
+        }
+      }
+    }
+  }
+}
+
+TEST(IngestStream, WidePredicateIdsMatchReferences) {
+  // Ids far beyond any dense vocabulary: the window hash and the full
+  // compares must not depend on id width.
+  const std::vector<PredId> seq = {1ull << 40, 2, 1ull << 40, 3, 2, 1ull << 40};
   Nfa model(2);
   model.add_transition(0, 1ull << 40, 1);
   model.add_transition(1, 2, 0);
   model.add_transition(0, 3, 0);
-  const ComplianceResult a = oracle::check_compliance(model, seq, l);
-  const ComplianceResult b = streamed.check(model);
-  EXPECT_EQ(a.compliant, b.compliant);
-  EXPECT_EQ(a.invalid_sequences, b.invalid_sequences);
+  for (const std::size_t w : {std::size_t{2}, std::size_t{4}}) {
+    const std::size_t l = 3;
+    const par::ShardedIngestResult ingest = ingest_sequence(seq, w, l, true);
+    EXPECT_EQ(ingest.segments, oracle::segment_sequence(seq, w)) << "w=" << w;
+    EXPECT_EQ(ingest.compliance.trace_sequences(), subsequences(seq, l).size()) << "w=" << w;
+    expect_check_matches_reference(ingest.compliance, model, seq, l,
+                                   "w=" + std::to_string(w));
+  }
 }
 
 /// Writes `trace` as an ftrace log and drives both learn paths over it; the

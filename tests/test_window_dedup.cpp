@@ -3,14 +3,20 @@
 // full contents), duplicates must still dedup, and the streaming segmenter
 // must stay byte-identical to the hash-free reference segmenter on colliding
 // inputs. Also drives the index through many slot-table resizes against the
-// same reference.
+// same reference, checks the subwindow derivation that reads every shorter
+// window set off one set of longer windows, and checks that the compliance
+// check, which keys P_l and the model words by the same hash, still tells
+// colliding words apart.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
+#include "src/automaton/nfa.h"
+#include "src/core/compliance.h"
 #include "src/core/segmentation.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
@@ -141,6 +147,48 @@ TEST(WindowDedupGrowth, CollidingWindowsSurviveResizes) {
   EXPECT_EQ(count_of(windows, b), 1u);
   EXPECT_EQ(count_of(windows, c), 1u);
   EXPECT_EQ(windows, oracle::segment_sequence(seq, 2));
+}
+
+TEST(WindowDedupCollision, ComplianceTellsACollidingModelWordApart) {
+  // The trace holds [5, 7]; the model's only word collides with it under the
+  // window hash but differs, so it must be reported missing. The reverse:
+  // a trace holding the collider accepts it and rejects [5, 7].
+  const std::vector<PredId> b = collider(5, 7, 1);
+  Nfa model(3);
+  model.add_transition(0, b[0], 1);
+  model.add_transition(1, b[1], 2);
+  const ComplianceResult missing = ComplianceChecker({5, 7}, 2).check(model);
+  EXPECT_FALSE(missing.compliant);
+  EXPECT_EQ(missing.invalid_sequences, (std::set<std::vector<PredId>>{b}));
+  EXPECT_EQ(missing.invalid_sequences,
+            oracle::check_compliance(model, {5, 7}, 2).invalid_sequences);
+  EXPECT_TRUE(ComplianceChecker(b, 2).check(model).compliant);
+
+  Nfa other(3);
+  other.add_transition(0, 5, 1);
+  other.add_transition(1, 7, 2);
+  EXPECT_FALSE(ComplianceChecker(b, 2).check(other).compliant);
+}
+
+TEST(Subwindows, ReadsEveryShorterWindowSetOffTheLongerOne) {
+  // The base is the distinct length-m windows of P in first-occurrence
+  // order, or [P] when P is shorter than m; its length-k subwindows must be
+  // P's own distinct length-k windows, in P's first-occurrence order.
+  Rng rng(17);
+  for (int round = 0; round < 3000; ++round) {
+    const std::size_t m = 1 + rng.below(6);
+    const std::size_t k = 1 + rng.below(m);
+    const std::size_t n = rng.below(m + 12);
+    const std::size_t alphabet = 1 + rng.below(4);
+    std::vector<PredId> seq(n);
+    for (auto& p : seq) p = static_cast<PredId>(rng.below(alphabet));
+    const auto base = n < m ? std::vector<std::vector<PredId>>{seq}
+                            : oracle::segment_sequence(seq, m);
+    const auto want = n < k ? std::vector<std::vector<PredId>>{}
+                            : oracle::segment_sequence(seq, k);
+    EXPECT_EQ(subwindows<PredId>(base, k).windows(), want)
+        << "m=" << m << " k=" << k << " n=" << n;
+  }
 }
 
 }  // namespace
